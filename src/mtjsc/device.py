@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 MU_B = 9.274009994e-24  # J/T
 E_CHARGE = 1.602176634e-19  # C
@@ -232,18 +233,27 @@ def expected_switch_time(t_p: float, direction: SwitchDirection, bias: float,
     return model.constant(direction) * raw
 
 
-def expected_write_energy(t_p: float, direction: SwitchDirection, bias: float,
-                          model: SwitchingModel) -> float:
-    """Expected energy (J) of a write pulse of width t_p.
+class WriteEnergySplit(NamedTuple):
+    """A write pulse's switch probability and its energy (J) per outcome."""
+
+    p_switch: float
+    switched: float
+    unswitched: float
+
+    @property
+    def expected(self) -> float:
+        return self.p_switch * self.switched + (1.0 - self.p_switch) * self.unswitched
+
+
+def write_energy_split(t_p: float, direction: SwitchDirection, bias: float,
+                       model: SwitchingModel) -> WriteEnergySplit:
+    """Switch probability and per-outcome energies of a pulse of width t_p.
 
     If the device switches, the pulse carries the start-state current up to
-    the expected switching time and the end-state current afterwards; if it
-    does not switch, the start-state current flows for the whole pulse.
+    the expected switching time and the end-state current afterwards:
+    V*(I_start*E[t_sw] + I_end*(T - E[t_sw])).  If it does not switch, the
+    start-state current flows for the whole pulse: V*I_start*T.
     """
-    if t_p < 0:
-        raise ValueError("t_p must be nonnegative")
-    if t_p == 0:
-        return 0.0
     params = model.params
     v = abs(bias)
     i_start = v / params.start_resistance(direction)
@@ -252,7 +262,14 @@ def expected_write_energy(t_p: float, direction: SwitchDirection, bias: float,
     e_t = expected_switch_time(t_p, direction, bias, model)
     e_sw = v * (i_start * e_t + i_end * (t_p - e_t))
     e_nsw = v * i_start * t_p
-    return p_sw * e_sw + (1.0 - p_sw) * e_nsw
+    return WriteEnergySplit(p_sw, e_sw, e_nsw)
+
+
+def expected_write_energy(t_p: float, direction: SwitchDirection, bias: float,
+                          model: SwitchingModel) -> float:
+    """Expected energy (J) of a write pulse of width t_p: the outcome-weighted
+    mean of `write_energy_split`, which the SNG cost model caches per q."""
+    return write_energy_split(t_p, direction, bias, model).expected
 
 
 def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: float,
@@ -281,6 +298,17 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
     return 0.5 * (lo + hi)
 
 
+def _fit_constant(params: MtjParams, anchor: tuple) -> float:
+    """Density constant that puts the CDF through `anchor`."""
+    t_p, p, direction, bias = anchor
+    if not 0.0 < p < 1.0:
+        raise ValueError("anchor probability must be in (0, 1)")
+    raw = _raw_cdf(params, t_p, bias, direction)
+    if raw <= 0.0:
+        raise RuntimeError("calibration failed: zero density mass at the anchor")
+    return p / raw
+
+
 def calibrate(params: MtjParams, anchor: tuple) -> SwitchingModel:
     """Fix the density constant so the CDF passes through one anchor point.
 
@@ -289,13 +317,7 @@ def calibrate(params: MtjParams, anchor: tuple) -> SwitchingModel:
     override one of them.  Secondary anchors are recorded for checking, not
     fitted.
     """
-    t_p, p, direction, bias = anchor
-    if not 0.0 < p < 1.0:
-        raise ValueError("anchor probability must be in (0, 1)")
-    raw = _raw_cdf(params, t_p, bias, direction)
-    if raw <= 0.0:
-        raise RuntimeError("calibration failed: zero density mass at the anchor")
-    c = p / raw
+    c = _fit_constant(params, anchor)
     return SwitchingModel(
         params=params,
         norm_constant={SwitchDirection.AP_TO_P: c, SwitchDirection.P_TO_AP: c},
@@ -305,14 +327,8 @@ def calibrate(params: MtjParams, anchor: tuple) -> SwitchingModel:
 
 def calibrate_direction(model: SwitchingModel, anchor: tuple) -> SwitchingModel:
     """Refit the constant of a single direction from its own anchor point."""
-    t_p, p, direction, bias = anchor
-    if not 0.0 < p < 1.0:
-        raise ValueError("anchor probability must be in (0, 1)")
-    raw = _raw_cdf(model.params, t_p, bias, direction)
-    if raw <= 0.0:
-        raise RuntimeError("calibration failed: zero density mass at the anchor")
     constants = dict(model.norm_constant)
-    constants[direction] = p / raw
+    constants[anchor[2]] = _fit_constant(model.params, anchor)
     return SwitchingModel(params=model.params, norm_constant=constants,
                           anchors=model.anchors + (anchor,))
 

@@ -11,15 +11,16 @@ the M/2 gain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sng import SngCostModel, SngKind, write_probability
+from .sng import SngKind, sng_bits
 from .streams import (
     Format,
     IntegralStream,
     StochasticStream,
+    default_tanh_states,
     fsm_tanh,
     value_of,
 )
@@ -110,35 +111,15 @@ def network_forward_float(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sng_bits(p: float, n: int, kind: SngKind, rng: np.random.Generator) -> np.ndarray:
-    """Bits of the MTJ generator sequence without the energy bookkeeping."""
-    q = write_probability(p, kind)
-    switched = rng.random(n) < q
-    if kind is SngKind.NORMAL:
-        return (~switched).astype(np.uint8)
-    internal = ~switched
-    return (internal if p >= 0.5 else switched).astype(np.uint8)
-
-
-def weight_stream(w: float, n: int, kind: SngKind,
-                  rng: np.random.Generator) -> StochasticStream:
-    """Bipolar stream for a weight in [-1, 1], written as probability (w+1)/2."""
-    return StochasticStream(_sng_bits((w + 1.0) / 2.0, n, kind, rng), Format.BIPOLAR)
-
-
-def neuron_fsm_states(m_scale: float, fan_in: int) -> int:
-    k = int(round(NEURON_FSM_GAIN * m_scale * fan_in))
-    k += k % 2
-    return max(2, k)
-
-
 def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
                        m_scale: float, config: EvalConfig,
                        rng: np.random.Generator) -> StochasticStream:
     """Stream-domain neuron: XNOR products, adder tree, FSM squashing.
 
-    Fresh weight streams are drawn per call; the adder tree also sums the
-    raw weight streams, which carries the +sum(w) half of the weighted sum.
+    Fresh weight streams are drawn per call by `sng.sng_bits`, without
+    energy bookkeeping; the adder tree also sums the raw weight streams,
+    which carries the +sum(w) half of the weighted sum.  XNOR and the adder
+    tree are inlined here, not built from `streams` primitives, for speed.
     """
     w = np.asarray(w, dtype=float)
     n_inputs = w.size
@@ -149,7 +130,7 @@ def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
         raise ValueError("input streams must share one length")
     levels = np.zeros(n, dtype=np.int32)
     for wi, xs in zip(w, x_streams):
-        wb = _sng_bits((wi + 1.0) / 2.0, n, config.sng_kind, rng)
+        wb = sng_bits((wi + 1.0) / 2.0, n, config.sng_kind, rng)[0]
         # XNOR product bit plus the weight bit itself, both as 0/1 counts
         levels += (np.uint8(1) - (wb ^ xs.bits)) + wb
     # a pair of independent fair bits (bipolar value 0) keeps the counter
@@ -157,7 +138,8 @@ def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
     levels += (rng.random(n) < 0.5).astype(np.int32)
     levels += (rng.random(n) < 0.5).astype(np.int32)
     summed = IntegralStream(levels, 2 * n_inputs + 2, Format.BIPOLAR)
-    return fsm_tanh(summed, neuron_fsm_states(m_scale, n_inputs))
+    return fsm_tanh(summed,
+                    default_tanh_states(n_inputs, NEURON_FSM_GAIN * m_scale))
 
 
 def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
@@ -175,7 +157,7 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
     n = config.stream_length
     rng = child_seed(config.seed, 7, *sample_key)
     streams = [StochasticStream(
-        _sng_bits((xi + 1.0) / 2.0, n, config.sng_kind, rng), Format.BIPOLAR)
+        sng_bits((xi + 1.0) / 2.0, n, config.sng_kind, rng)[0], Format.BIPOLAR)
         for xi in np.clip(x, -1.0, 1.0)]
     for layer in net.layers:
         streams = [neuron_forward_isc(layer.weights[:, j], streams,

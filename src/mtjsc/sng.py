@@ -7,23 +7,27 @@ stored bit.  The normal generator writes a 0 with probability 1 - p; the
 biased variant (BMS) always writes the cheaper of p and 1 - p internally
 and restores the requested value with an inverting mux, which caps the
 worst-case write pulse at the 50%-probability width.
+
+`sng_bits` maps p to delivered bits for both generators and for the
+network's stream path.  The per-outcome write energies come from
+`device.write_energy_split`, cached per model by capped write probability.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .device import (
     SwitchDirection,
     SwitchingModel,
+    WriteEnergySplit,
     default_model,
-    expected_switch_time,
     expected_write_energy,
     pulse_width_for_probability,
-    switching_probability,
+    write_energy_split,
 )
 from .streams import Format, StochasticStream
 
@@ -49,13 +53,15 @@ class SngCostModel:
     mux_inv_energy: float      # BMS only
     bit_period_normal: float
     bit_period_bms: float
+    # capped write probability -> WriteEnergySplit, filled by _write_split
+    _write_energy_cache: dict = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self):
         if self.bit_period_bms >= self.bit_period_normal:
             raise ValueError("BMS bit period must be shorter than normal")
         if min(self.reset_energy, self.read_energy, self.mux_inv_energy) < 0:
             raise ValueError("energies must be nonnegative")
-        object.__setattr__(self, "_write_energy_cache", {})
 
 
 def build_cost_model(model: SwitchingModel | None = None,
@@ -90,41 +96,35 @@ def write_probability(p: float, kind: SngKind) -> float:
     return min(p, 1.0 - p)
 
 
-def _write_pulse_terms(q: float, cost_model: SngCostModel):
-    """Pulse width plus per-outcome write energies for switch probability q.
+def _write_split(q: float, cost_model: SngCostModel) -> WriteEnergySplit:
+    """AP->P write energies at switch probability q, cached per model.
 
-    The per-outcome split charges the switched bits
-    V*(I_start*E(t_sw) + I_end*(T - E(t_sw))) and the unswitched bits
-    V*I_start*T, so the average over outcomes reproduces the expected write
-    energy of the pulse.
+    q is capped at WRITE_PROBABILITY_CAP before it sizes the pulse; q = 0
+    needs no pulse and costs nothing.
     """
-    model = cost_model.switching
-    params = model.params
-    v = params.v_write
     q_c = min(q, WRITE_PROBABILITY_CAP)
-    if q_c <= 0.0:
-        return 0.0, 0.0, 0.0
-    t_w = pulse_width_for_probability(q_c, SwitchDirection.AP_TO_P, v, model)
-    tau = expected_switch_time(t_w, SwitchDirection.AP_TO_P, v, model)
-    i_ap = v / params.r_ap
-    i_p = v / params.r_p
-    e_sw = v * (i_ap * tau + i_p * (t_w - tau))
-    e_nsw = v * i_ap * t_w
-    return t_w, e_sw, e_nsw
-
-
-def _expected_write_energy_at(q: float, cost_model: SngCostModel) -> float:
-    """Expected AP->P write energy at probability q, cached per model."""
-    q_c = min(q, WRITE_PROBABILITY_CAP)
-    if q_c <= 0.0:
-        return 0.0
     cache = cost_model._write_energy_cache
     if q_c not in cache:
         model = cost_model.switching
         v = model.params.v_write
         t_w = pulse_width_for_probability(q_c, SwitchDirection.AP_TO_P, v, model)
-        cache[q_c] = expected_write_energy(t_w, SwitchDirection.AP_TO_P, v, model)
+        cache[q_c] = write_energy_split(t_w, SwitchDirection.AP_TO_P, v, model)
     return cache[q_c]
+
+
+def sng_bits(p: float, n: int, kind: SngKind,
+             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Delivered bits and switched-write mask of n generator cycles at value p.
+
+    A cycle's write switches with probability write_probability(p, kind).
+    The normal generator delivers the inverted stored bit; BMS inverts only
+    when p >= 0.5, where it writes 1 - p.  p is not validated here: this is
+    the per-stream hot path, and its callers clip or check p.
+    """
+    switched = rng.random(n) < write_probability(p, kind)
+    if kind is SngKind.NORMAL or p >= 0.5:
+        return (~switched).astype(np.uint8), switched
+    return switched.astype(np.uint8), switched
 
 
 def generate_stream(p: float, n: int, kind: SngKind, seed,
@@ -139,21 +139,15 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
         raise ValueError("p must be in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = write_probability(p, kind)
-    _, e_sw, e_nsw = _write_pulse_terms(q, cost_model)
-    rng = np.random.default_rng(seed)
-    switched = rng.random(n) < q
-    if kind is SngKind.NORMAL:
-        bits = (~switched).astype(np.uint8)
-    else:
-        internal = ~switched
-        bits = (internal if p >= 0.5 else switched).astype(np.uint8)
+    split = _write_split(write_probability(p, kind), cost_model)
+    bits, switched = sng_bits(p, n, kind, np.random.default_rng(seed))
     n_switched = int(switched.sum())
     # Reset precedes every bit whose previous write switched the device;
     # the device starts in the reset state, so bit 0 never needs one.
     n_resets = int(switched[:-1].sum())
     energy = (n_resets * cost_model.reset_energy
-              + n_switched * e_sw + (n - n_switched) * e_nsw
+              + n_switched * split.switched
+              + (n - n_switched) * split.unswitched
               + n * cost_model.read_energy)
     if kind is SngKind.BMS:
         energy += n * cost_model.mux_inv_energy
@@ -166,7 +160,7 @@ def energy_per_bit(p: float, kind: SngKind, cost_model: SngCostModel) -> float:
         raise ValueError("p must be in [0, 1]")
     q = write_probability(p, kind)
     e = q * cost_model.reset_energy + cost_model.read_energy
-    e += _expected_write_energy_at(q, cost_model)
+    e += _write_split(q, cost_model).expected
     if kind is SngKind.BMS:
         e += cost_model.mux_inv_energy
     return e

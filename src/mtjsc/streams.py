@@ -185,7 +185,9 @@ def isc_multiply(a, b) -> IntegralStream:
 def default_tanh_states(m: int, gain: float = 2.0) -> int:
     """State count for `fsm_tanh` on an equal-split bipolar input of bound m.
 
-    gain = 2 makes the counter's small-signal slope match tanh itself: the
+    The network's neuron FSM uses it too, with m the fan-in and its layer's
+    M folded into the gain.  gain = 2 makes the counter's small-signal slope
+    match tanh itself: the
     stationary output of the saturating counter behaves like
     tanh(K * drift / (2 * variance)) and the equal-split encoder has
     per-cycle variance ~= 2m near zero drift.

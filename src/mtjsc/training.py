@@ -10,7 +10,7 @@ increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,11 @@ from .network import LayerSpec, NetworkSpec
 TARGET_HIGH = 0.9
 TARGET_LOW = -0.9
 
+# A trial epoch that drives a weight past this has diverged, even though the
+# saturated tanh outputs keep its loss finite: targets of +-0.9 need
+# pre-activations near 1.5, and tanh is exactly +-1 in float64 beyond ~19.
+DIVERGENCE_WEIGHT_BOUND = 1e3
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -27,7 +32,6 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 32
     seed: int = 0
-    add_constant_feature: bool = False  # optional bias-like +1 input, off by default
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -100,12 +104,11 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
     """Gradient-descent training of a tanh MLP on [-1, 1] features.
 
     dims is (I, J) or (I, L, J) and must match the dataset; a divergent run
-    (non-finite loss) aborts with a diagnostic.
+    (a trial epoch with non-finite loss, or with a weight past
+    DIVERGENCE_WEIGHT_BOUND) aborts with a diagnostic.
     """
     dims = tuple(dims)
     x = dataset.features
-    if config.add_constant_feature:
-        x = np.hstack([x, np.ones((x.shape[0], 1))])
     if dims[0] != x.shape[1]:
         raise ValueError(f"dims {dims} do not match {x.shape[1]} features")
     if dims[-1] < dataset.n_classes:
@@ -125,10 +128,11 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
             for w, g in zip(weights, grads):
                 w -= eta * g
         loss, _ = loss_and_gradients(weights, x, y)
-        if not np.isfinite(loss):
+        peak = np.max([np.max(np.abs(w)) for w in weights])
+        if not (np.isfinite(loss) and peak <= DIVERGENCE_WEIGHT_BOUND):
             raise RuntimeError(
-                f"training diverged at epoch {epoch} (loss = {loss}); "
-                f"lower eta (currently {eta})")
+                f"training diverged at epoch {epoch} (loss = {loss}, "
+                f"max |w| = {peak:.3g}); lower eta (currently {eta})")
         if loss > prev_loss:
             weights = snapshot
             eta *= 0.5
@@ -138,11 +142,8 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
         record = {"epoch": epoch, "loss": loss, "eta": eta,
                   "train_accuracy": _train_accuracy(weights, x, dataset.labels)}
         if validation is not None:
-            vx = validation.features
-            if config.add_constant_feature:
-                vx = np.hstack([vx, np.ones((vx.shape[0], 1))])
-            record["val_accuracy"] = _train_accuracy(weights, vx,
-                                                     validation.labels)
+            record["val_accuracy"] = _train_accuracy(
+                weights, validation.features, validation.labels)
         history.append(record)
         prev_loss = loss
     scaling = None

@@ -15,12 +15,14 @@ from mtjsc.device import (
     MtjParams,
     SwitchDirection,
     calibrate,
+    calibrate_direction,
     default_model,
     expected_switch_time,
     expected_write_energy,
     pulse_width_for_probability,
     switching_density,
     switching_probability,
+    write_energy_split,
 )
 
 AP2P = SwitchDirection.AP_TO_P
@@ -134,6 +136,35 @@ class TestExpectedWriteEnergy:
             assert all(b >= a - 1e-18 for a, b in zip(energies, energies[1:]))
 
 
+class TestWriteEnergySplit:
+    def test_zero_pulse(self, model):
+        assert write_energy_split(0.0, AP2P, V_WRITE, model) == (0.0, 0.0, 0.0)
+
+    def test_negative_pulse_rejected(self, model):
+        with pytest.raises(ValueError, match="nonnegative"):
+            write_energy_split(-1e-9, AP2P, V_WRITE, model)
+
+    def test_outcome_energies(self, model):
+        params = model.params
+        for direction in (AP2P, P2AP):
+            t_p = pulse_width_for_probability(0.7, direction, V_WRITE, model)
+            split = write_energy_split(t_p, direction, V_WRITE, model)
+            i_start = V_WRITE / params.start_resistance(direction)
+            i_end = V_WRITE / params.end_resistance(direction)
+            e_t = expected_switch_time(t_p, direction, V_WRITE, model)
+            assert split.p_switch == switching_probability(
+                t_p, direction, V_WRITE, model)
+            assert split.switched == V_WRITE * (i_start * e_t + i_end * (t_p - e_t))
+            assert split.unswitched == V_WRITE * i_start * t_p
+
+    def test_expected_is_the_weighted_mean(self, model):
+        for t_p in np.linspace(0.2e-9, 6e-9, 12):
+            split = write_energy_split(t_p, AP2P, V_WRITE, model)
+            assert expected_write_energy(t_p, AP2P, V_WRITE, model) == (
+                split.p_switch * split.switched
+                + (1.0 - split.p_switch) * split.unswitched)
+
+
 class TestPulseWidthForProbability:
     def test_zero_probability(self, model):
         assert pulse_width_for_probability(0.0, AP2P, V_WRITE, model) == 0.0
@@ -178,6 +209,19 @@ class TestCalibration:
     def test_rejects_degenerate_anchor(self):
         with pytest.raises(ValueError):
             calibrate(MtjParams(), (3.40e-9, 1.0, AP2P, V_WRITE))
+
+    def test_direction_fit_matches_calibrate(self):
+        anchor = (3.40e-9, 0.999, AP2P, V_WRITE)
+        base = calibrate(MtjParams(), (2.0e-9, 0.5, P2AP, V_WRITE))
+        refit = calibrate_direction(base, anchor)
+        direct = calibrate(MtjParams(), anchor)
+        assert refit.constant(AP2P) == direct.constant(AP2P)
+        assert refit.constant(P2AP) == base.constant(P2AP)
+        assert refit.anchors == base.anchors + (anchor,)
+
+    def test_direction_rejects_degenerate_anchor(self, model):
+        with pytest.raises(ValueError):
+            calibrate_direction(model, (3.40e-9, 0.0, AP2P, V_WRITE))
 
 
 class TestParams:

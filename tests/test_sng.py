@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from mtjsc.device import SwitchDirection, default_model, pulse_width_for_probability
+from mtjsc.device import (
+    SwitchDirection,
+    expected_write_energy,
+    pulse_width_for_probability,
+    write_energy_split,
+)
 from mtjsc.sng import (
+    WRITE_PROBABILITY_CAP,
     SngKind,
     average_power,
     bit_period,
@@ -12,6 +18,7 @@ from mtjsc.sng import (
     energy_per_bit,
     generate_stream,
     mean_energy_per_bit,
+    sng_bits,
     write_probability,
 )
 
@@ -136,3 +143,63 @@ class TestAveragePower:
         for kind in (NORMAL, BMS):
             assert average_power(kind, cost_model) == pytest.approx(
                 mean_energy_per_bit(kind, cost_model) / bit_period(kind, cost_model))
+
+
+class TestSharedPaths:
+    """The one bit draw and the one energy split, pinned with exact equality."""
+
+    P_GRID = np.linspace(0.0, 1.0, 41)
+
+    def test_energy_per_bit_from_device(self, cost_model):
+        model = cost_model.switching
+        v = model.params.v_write
+        for kind in (NORMAL, BMS):
+            for p in self.P_GRID:
+                q = write_probability(p, kind)
+                t_w = pulse_width_for_probability(
+                    min(q, WRITE_PROBABILITY_CAP), SwitchDirection.AP_TO_P, v, model)
+                expected = q * cost_model.reset_energy + cost_model.read_energy
+                expected += expected_write_energy(
+                    t_w, SwitchDirection.AP_TO_P, v, model)
+                if kind is BMS:
+                    expected += cost_model.mux_inv_energy
+                assert energy_per_bit(p, kind, cost_model) == expected
+
+    def test_cache_not_part_of_equality(self):
+        warm, cold = build_cost_model(), build_cost_model()
+        energy_per_bit(0.3, BMS, warm)
+        assert warm._write_energy_cache and not cold._write_energy_cache
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+
+    def test_generate_stream_bits_are_the_shared_draw(self, cost_model):
+        for kind in (NORMAL, BMS):
+            for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+                stream, _ = generate_stream(p, 512, kind, 11, cost_model)
+                bits, _ = sng_bits(p, 512, kind, np.random.default_rng(11))
+                assert np.array_equal(stream.bits, bits)
+
+    def test_bit_mapping(self):
+        for kind, p, inverted in ((NORMAL, 0.2, True), (NORMAL, 0.8, True),
+                                  (BMS, 0.2, False), (BMS, 0.8, True)):
+            bits, switched = sng_bits(p, 256, kind, np.random.default_rng(3))
+            assert np.array_equal(bits.astype(bool), switched ^ inverted)
+
+    def test_generate_stream_energy_from_split(self, cost_model):
+        model = cost_model.switching
+        v = model.params.v_write
+        n = 300
+        for kind in (NORMAL, BMS):
+            p = 0.35
+            q = write_probability(p, kind)
+            t_w = pulse_width_for_probability(q, SwitchDirection.AP_TO_P, v, model)
+            split = write_energy_split(t_w, SwitchDirection.AP_TO_P, v, model)
+            _, switched = sng_bits(p, n, kind, np.random.default_rng(8))
+            k = int(switched.sum())
+            expected = (int(switched[:-1].sum()) * cost_model.reset_energy
+                        + k * split.switched + (n - k) * split.unswitched
+                        + n * cost_model.read_energy)
+            if kind is BMS:
+                expected += n * cost_model.mux_inv_energy
+            _, energy = generate_stream(p, n, kind, 8, cost_model)
+            assert energy == expected
