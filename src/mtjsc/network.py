@@ -8,6 +8,15 @@ integer adder tree that sums the products w_i x_i; the +sum(w) half is a
 constant known at design time, so it enters the tree as a deterministic
 per-cycle offset.  A saturating-counter tanh squashes the sum, with a state
 count derived from the adder's per-cycle variance and the M/2 gain.
+
+Draw order.  The stream path draws every random number of a sample from
+one generator, `child_seed(config.seed, 7, *sample_key)`, in this order:
+the input streams, input by input; then, layer by layer and neuron by
+neuron, the neuron's weight streams, input by input, followed by its two
+fair-bit rows.  Each stream is n consecutive doubles.  The layer kernel
+draws them in blocks of whole rows, which consumes the generator exactly as
+one draw per stream would, so outputs depend on this order and not on how
+the draws are batched.
 """
 
 from __future__ import annotations
@@ -20,14 +29,17 @@ import numpy as np
 from .sng import SngKind, sng_bits
 from .streams import (
     Format,
-    IntegralStream,
     StochasticStream,
     default_tanh_states,
-    fsm_tanh,
-    value_of,
+    fsm_tanh_rows,
 )
 
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
+
+# Most doubles drawn by one rng.random call on the stream path, to bound the
+# memory of a draw.  Larger blocks are split by rows, in order, which leaves
+# the bits unchanged.
+DRAW_BLOCK = 1 << 16
 
 # E[x^2] of an input uniform on [-1, 1], used to size the neuron FSM.  The
 # saturating counter behaves as tanh(K * drift / (2 * variance)), and the
@@ -90,6 +102,9 @@ class EvalConfig:
     sng_kind: SngKind = SngKind.BMS
 
     def __post_init__(self):
+        if not isinstance(self.sng_kind, SngKind):
+            raise TypeError(
+                f"sng_kind must be a SngKind, got {self.sng_kind!r}")
         if self.stream_length is not None and \
                 self.stream_length not in ALLOWED_STREAM_LENGTHS:
             raise ValueError(
@@ -116,51 +131,84 @@ def network_forward_float(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def weight_sum_offset(w_sum: float, n_inputs: int, n: int) -> np.ndarray:
+def weight_sum_offset(w_sum, n_inputs: int, n: int) -> np.ndarray:
     """Deterministic adder-tree levels that carry the +sum(w) half of a.
 
     Cycle t adds l_t = floor((t+1)S + 1/2) - floor(tS + 1/2) with S = w_sum/2,
     so the running sum of l_t stays within half a level of t*S at every
     cycle.  Each level is shifted up by ceil(N/2) for N = n_inputs, which
-    keeps it in [0, 2*ceil(N/2)] whenever |w_sum| <= N.
+    keeps it in [0, 2*ceil(N/2)] whenever |w_sum| <= N.  w_sum is a float
+    or an array of sums; the result has shape w_sum.shape + (n,).
     """
-    edges = np.floor(np.arange(n + 1) * (0.5 * w_sum) + 0.5)
+    s = 0.5 * np.asarray(w_sum, dtype=float)
+    edges = np.floor(np.arange(n + 1) * s[..., None] + 0.5)
     return np.diff(edges).astype(np.int32) + (n_inputs + 1) // 2
+
+
+def _draw_bits(p: np.ndarray, n: int, kind: SngKind,
+               rng: np.random.Generator) -> np.ndarray:
+    """SNG bits for each value in the 1-D array p, shape (p.size, n).
+
+    Rows are drawn in order, in blocks of at most DRAW_BLOCK doubles, so
+    the result equals one sng_bits call per value.
+    """
+    rows = max(1, DRAW_BLOCK // n)
+    return np.concatenate([sng_bits(p[i:i + rows], n, kind, rng)[0]
+                           for i in range(0, p.size, rows)])
+
+
+def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Stream-domain layer: XNOR products, adder tree, FSM squashing.
+
+    x_bits holds one bipolar input stream per row, shape (fan_in, n); the
+    result holds one output stream per neuron, shape (fan_out, n).  Fresh
+    weight streams are drawn neuron by neuron by `sng.sng_bits`, without
+    energy bookkeeping.  A neuron's adder tree sums its XNOR products,
+    which carry w.x; the +sum(w) half is a design-time constant and enters
+    the tree as the deterministic `weight_sum_offset`.  Its FSM's state
+    count is M * sum_i(1 - w_i^2 E[x^2]), the adder's per-cycle variance
+    times the layer gain.
+    """
+    n_inputs, n = x_bits.shape
+    if n_inputs != layer.weights.shape[0]:
+        raise ValueError(f"{n_inputs} input streams for a layer of fan-in "
+                         f"{layer.weights.shape[0]}")
+    # Sums over rows of w.T, not w.sum(axis=0): a column sum can differ in
+    # the last ulp, and that can move a weight_sum_offset level.
+    w_rows = np.ascontiguousarray(layer.weights.T)
+    p_rows = (w_rows + 1.0) / 2.0
+    counts = np.empty((w_rows.shape[0], n), dtype=np.int32)
+    for j, p in enumerate(p_rows):
+        matches = _draw_bits(p, n, kind, rng) == x_bits
+        # a pair of independent fair bits (bipolar value 0) keeps the
+        # counter moving when every input stream happens to be deterministic
+        fair = rng.random((2, n)) < 0.5
+        counts[j] = (matches.sum(axis=0, dtype=np.int32)
+                     + fair.sum(axis=0, dtype=np.int32))
+    levels = weight_sum_offset(w_rows.sum(axis=1), n_inputs, n) + counts
+    m = n_inputs + 2 * ((n_inputs + 1) // 2) + 2
+    variance_per_input = (1.0 - np.mean(w_rows * w_rows, axis=1)
+                          * INPUT_SECOND_MOMENT)
+    n_states = [default_tanh_states(n_inputs, layer.m_scale * v)
+                for v in variance_per_input]
+    return fsm_tanh_rows(2 * levels - m, n_states)
 
 
 def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
                        m_scale: float, config: EvalConfig,
                        rng: np.random.Generator) -> StochasticStream:
-    """Stream-domain neuron: XNOR products, adder tree, FSM squashing.
-
-    Fresh weight streams are drawn per call by `sng.sng_bits`, without
-    energy bookkeeping.  The adder tree sums the XNOR products, which carry
-    w.x; the +sum(w) half is a design-time constant and enters the tree as
-    the deterministic `weight_sum_offset`.  The FSM's state count is
-    M * sum_i(1 - w_i^2 E[x^2]), the adder's per-cycle variance times the
-    layer gain.  XNOR and the adder tree are inlined here, not built from
-    `streams` primitives, for speed.
-    """
+    """One neuron of `layer_forward_isc`, on a list of input streams."""
     w = np.asarray(w, dtype=float)
-    n_inputs = w.size
-    if len(x_streams) != n_inputs:
+    if len(x_streams) != w.size:
         raise ValueError("input stream count does not match the weight row")
     n = len(x_streams[0])
     if any(len(s) != n for s in x_streams):
         raise ValueError("input streams must share one length")
-    levels = weight_sum_offset(w.sum(), n_inputs, n)
-    for wi, xs in zip(w, x_streams):
-        wb = sng_bits((wi + 1.0) / 2.0, n, config.sng_kind, rng)[0]
-        levels += np.uint8(1) - (wb ^ xs.bits)
-    # a pair of independent fair bits (bipolar value 0) keeps the counter
-    # moving when every input stream happens to be deterministic
-    levels += (rng.random(n) < 0.5).astype(np.int32)
-    levels += (rng.random(n) < 0.5).astype(np.int32)
-    summed = IntegralStream(levels, n_inputs + 2 * ((n_inputs + 1) // 2) + 2,
-                            Format.BIPOLAR)
-    variance_per_input = 1.0 - np.mean(w * w) * INPUT_SECOND_MOMENT
-    return fsm_tanh(summed, default_tanh_states(n_inputs,
-                                                m_scale * variance_per_input))
+    x_bits = np.stack([s.bits for s in x_streams])
+    out = layer_forward_isc(LayerSpec(w.reshape(-1, 1), m_scale), x_bits,
+                            config.sng_kind, rng)
+    return StochasticStream(out[0], Format.BIPOLAR)
 
 
 def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
@@ -177,14 +225,11 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
         return network_forward_float(net, x)
     n = config.stream_length
     rng = child_seed(config.seed, 7, *sample_key)
-    streams = [StochasticStream(
-        sng_bits((xi + 1.0) / 2.0, n, config.sng_kind, rng)[0], Format.BIPOLAR)
-        for xi in np.clip(x, -1.0, 1.0)]
+    bits = _draw_bits((np.clip(x, -1.0, 1.0) + 1.0) / 2.0, n,
+                      config.sng_kind, rng)
     for layer in net.layers:
-        streams = [neuron_forward_isc(layer.weights[:, j], streams,
-                                      layer.m_scale, config, rng)
-                   for j in range(layer.weights.shape[1])]
-    return np.array([value_of(s) for s in streams])
+        bits = layer_forward_isc(layer, bits, config.sng_kind, rng)
+    return (2 * bits.sum(axis=1, dtype=np.int64) - n) / n
 
 
 def classify(outputs: np.ndarray) -> int:
@@ -202,6 +247,9 @@ def accuracy(net: NetworkSpec, features: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     if features.shape[0] == 0:
         raise ValueError("empty dataset")
+    if labels.shape != (features.shape[0],):
+        raise ValueError(f"{labels.size} labels for {features.shape[0]} "
+                         "feature rows")
     hits = 0
     for idx in range(features.shape[0]):
         outputs = network_forward(net, features[idx], config, sample_key=(idx,))

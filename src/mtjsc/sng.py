@@ -90,7 +90,11 @@ def build_cost_model(model: SwitchingModel | None = None,
 
 
 def write_probability(p: float, kind: SngKind) -> float:
-    """AP->P switching probability that realizes a stream of value p."""
+    """AP->P switching probability that realizes a stream of value p.
+
+    Scalar only, for the cost path; `sng_bits` applies the same map to
+    arrays of p.
+    """
     if kind is SngKind.NORMAL:
         return 1.0 - p
     return min(p, 1.0 - p)
@@ -112,19 +116,24 @@ def _write_split(q: float, cost_model: SngCostModel) -> WriteEnergySplit:
     return cache[q_c]
 
 
-def sng_bits(p: float, n: int, kind: SngKind,
+def sng_bits(p, n: int, kind: SngKind,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Delivered bits and switched-write mask of n generator cycles at value p.
 
-    A cycle's write switches with probability write_probability(p, kind).
-    The normal generator delivers the inverted stored bit; BMS inverts only
-    when p >= 0.5, where it writes 1 - p.  p is not validated here: this is
-    the per-stream hot path, and its callers clip or check p.
+    p is a float or an array of values; the results have shape
+    p.shape + (n,), drawn by one rng.random call in C order, so row i holds
+    the bits that a call at p[i] alone would draw next.  A cycle's write
+    switches with probability write_probability(p, kind), evaluated
+    elementwise.  The normal generator delivers the inverted stored bit;
+    BMS inverts only where p >= 0.5, where it writes 1 - p.  p is not
+    validated here: this is the stream path's hot loop, and its callers
+    clip or check p.
     """
-    switched = rng.random(n) < write_probability(p, kind)
-    if kind is SngKind.NORMAL or p >= 0.5:
-        return (~switched).astype(np.uint8), switched
-    return switched.astype(np.uint8), switched
+    p = np.asarray(p, dtype=float)
+    q = 1.0 - p if kind is SngKind.NORMAL else np.minimum(p, 1.0 - p)
+    switched = rng.random(p.shape + (n,)) < q[..., None]
+    invert = True if kind is SngKind.NORMAL else (p >= 0.5)[..., None]
+    return (switched ^ invert).view(np.uint8), switched
 
 
 def generate_stream(p: float, n: int, kind: SngKind, seed,
@@ -175,6 +184,8 @@ def bit_period(kind: SngKind, cost_model: SngCostModel) -> float:
 def mean_energy_per_bit(kind: SngKind, cost_model: SngCostModel,
                         grid_points: int = 201) -> float:
     """Average of energy_per_bit over p uniform on [0, 1] (trapezoid rule)."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     ps = np.linspace(0.0, 1.0, grid_points)
     es = np.array([energy_per_bit(p, kind, cost_model) for p in ps])
     return float(np.trapezoid(es, ps))

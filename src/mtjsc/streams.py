@@ -197,6 +197,51 @@ def default_tanh_states(m: int, gain: float = 2.0) -> int:
     return max(2, k)
 
 
+def fsm_tanh_rows(steps: np.ndarray, n_states) -> np.ndarray:
+    """Output bits of one saturating counter per row of signed steps.
+
+    Row r starts at n_states[r] // 2; each cycle it moves by steps[r, t] and
+    is clamped to [0, n_states[r] - 1], and the output bit is 1 while the
+    state sits in the upper half.  n_states is an int or one even count
+    >= 2 per row.
+
+    Each cycle applies the clamp map x -> min(max(x + a, lo), hi).  These
+    maps are closed under composition (a1 then a2 gives a = a1 + a2,
+    lo = clip(lo1 + a2, lo2, hi2), hi = clip(hi1 + a2, lo2, hi2)), so a
+    doubling scan over log2(n) steps composes every prefix at once, in
+    exact integer arithmetic, and gives the states of the cycle-by-cycle
+    counter for all rows together.
+    """
+    steps = np.asarray(steps)
+    if steps.ndim != 2 or steps.dtype.kind != "i":
+        raise ValueError("steps must be a (rows, cycles) signed integer matrix")
+    n_states = np.broadcast_to(np.asarray(n_states, dtype=np.int64),
+                               steps.shape[:1])
+    if np.any(n_states < 2) or np.any(n_states % 2 != 0):
+        raise ValueError(f"n_states must be even and >= 2, got {n_states}")
+    # Every value below is at most n * max|step| + n_states in magnitude;
+    # int32 holds that for the network's streams and halves the traffic.
+    bound = (steps.shape[1] * int(np.abs(steps).max(initial=0))
+             + int(n_states.max(initial=0)))
+    dtype = np.int32 if bound < 2**31 else np.int64
+    top = (n_states[:, None] - 1).astype(dtype)
+    half = (n_states[:, None] // 2).astype(dtype)
+    a = steps.astype(dtype)
+    lo = np.zeros_like(a)
+    hi = np.broadcast_to(top, a.shape).copy()
+    s = 1
+    while s < a.shape[1]:
+        a2, lo2, hi2 = a[:, s:], lo[:, s:], hi[:, s:]
+        new_lo = np.minimum(np.maximum(lo[:, :-s] + a2, lo2), hi2)
+        new_hi = np.minimum(np.maximum(hi[:, :-s] + a2, lo2), hi2)
+        a[:, s:] = a[:, :-s] + a2
+        lo[:, s:] = new_lo
+        hi[:, s:] = new_hi
+        s *= 2
+    state = np.minimum(np.maximum(half + a, lo), hi)
+    return (state >= half).astype(np.uint8)
+
+
 def fsm_tanh(a: IntegralStream, n_states: int) -> StochasticStream:
     """Saturating up/down counter driven by the signed input levels.
 
@@ -205,20 +250,8 @@ def fsm_tanh(a: IntegralStream, n_states: int) -> StochasticStream:
     state count matched to the input's range and variance the output stream
     approximates tanh of the input value, in the bipolar format.
     """
-    if n_states < 2 or n_states % 2 != 0:
-        raise ValueError("n_states must be even and >= 2")
     if a.format is not Format.BIPOLAR:
         raise ValueError("fsm_tanh expects a bipolar input stream")
-    top = n_states - 1
-    half = n_states // 2
-    state = half
-    out = np.empty(len(a), dtype=np.uint8)
-    deltas = (2 * a.levels - a.m).tolist()
-    for i, d in enumerate(deltas):
-        state += d
-        if state < 0:
-            state = 0
-        elif state > top:
-            state = top
-        out[i] = 1 if state >= half else 0
-    return StochasticStream(out, Format.BIPOLAR)
+    steps = 2 * a.levels.astype(np.int64) - a.m
+    return StochasticStream(fsm_tanh_rows(steps[None, :], n_states)[0],
+                            Format.BIPOLAR)

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from mtjsc import network
 from mtjsc.network import (
+    INPUT_SECOND_MOMENT,
     EvalConfig,
     LayerSpec,
     NetworkSpec,
     accuracy,
     child_seed,
     classify,
+    layer_forward_isc,
     load_network,
     network_forward,
     network_forward_float,
@@ -20,7 +23,15 @@ from mtjsc.network import (
     save_network,
     weight_sum_offset,
 )
-from mtjsc.streams import Format, StochasticStream, value_of
+from mtjsc.sng import SngKind, sng_bits
+from mtjsc.streams import (
+    Format,
+    IntegralStream,
+    StochasticStream,
+    default_tanh_states,
+    fsm_tanh,
+    value_of,
+)
 
 
 def bip_stream(v, n, seed):
@@ -144,6 +155,74 @@ class TestIscNeuron:
                                child_seed(0))
 
 
+def reference_neuron(w, x_bits, m_scale, kind, rng):
+    """One neuron, one sng_bits call per input, then two fair-bit draws."""
+    n_inputs, n = len(w), len(x_bits[0])
+    levels = weight_sum_offset(w.sum(), n_inputs, n)
+    for wi, xb in zip(w, x_bits):
+        wb = sng_bits((wi + 1.0) / 2.0, n, kind, rng)[0]
+        levels = levels + (1 - (wb ^ xb))
+    levels = levels + (rng.random(n) < 0.5) + (rng.random(n) < 0.5)
+    summed = IntegralStream(levels, n_inputs + 2 * ((n_inputs + 1) // 2) + 2,
+                            Format.BIPOLAR)
+    gain = m_scale * (1.0 - np.mean(w * w) * INPUT_SECOND_MOMENT)
+    return fsm_tanh(summed, default_tanh_states(n_inputs, gain)).bits
+
+
+def reference_forward(net, x, config, sample_key):
+    """The stream path sample by sample, neuron by neuron, input by input."""
+    n, kind = config.stream_length, config.sng_kind
+    rng = child_seed(config.seed, 7, *sample_key)
+    bits = [sng_bits((xi + 1.0) / 2.0, n, kind, rng)[0]
+            for xi in np.clip(x, -1.0, 1.0)]
+    for layer in net.layers:
+        bits = [reference_neuron(layer.weights[:, j], bits, layer.m_scale,
+                                 kind, rng)
+                for j in range(layer.weights.shape[1])]
+    return np.array([(2 * int(b.sum()) - n) / n for b in bits])
+
+
+class TestLayerKernel:
+    """The batched stream path against the per-input reference, exactly."""
+
+    def small_net(self):
+        rng = np.random.default_rng(6)
+        return NetworkSpec((LayerSpec(rng.uniform(-1, 1, (9, 5)), 2.5),
+                            LayerSpec(rng.uniform(-1, 1, (5, 3)), 1.5)))
+
+    @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
+    # None keeps every draw in one block; 1 draws one row per block, and
+    # 3 * 128 splits the 5-row layer unevenly
+    @pytest.mark.parametrize("draw_block", [None, 1, 3 * 128])
+    def test_matches_per_input_reference(self, kind, draw_block, monkeypatch):
+        if draw_block is not None:
+            monkeypatch.setattr(network, "DRAW_BLOCK", draw_block)
+        net = self.small_net()
+        rng = np.random.default_rng(7)
+        for trial in range(4):
+            x = rng.uniform(-1.2, 1.2, 9)
+            cfg = EvalConfig(stream_length=128, seed=trial, sng_kind=kind)
+            out = network_forward(net, x, cfg, sample_key=(trial,))
+            assert np.array_equal(out, reference_forward(net, x, cfg, (trial,)))
+
+    def test_fan_in_mismatch(self):
+        layer = LayerSpec(np.zeros((3, 2)), 1.0)
+        with pytest.raises(ValueError, match="1 input streams"):
+            layer_forward_isc(layer, np.zeros((1, 128), dtype=np.uint8),
+                              SngKind.BMS, child_seed(0))
+
+    @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
+    def test_neuron_wrapper_matches_reference(self, kind):
+        w = np.random.default_rng(8).uniform(-1, 1, 6)
+        xs = [bip_stream(0.3 * i - 0.8, 256, 40 + i) for i in range(6)]
+        cfg = EvalConfig(stream_length=256, sng_kind=kind)
+        out = neuron_forward_isc(w, xs, 2.0, cfg, child_seed(3))
+        ref = reference_neuron(w, [s.bits for s in xs], 2.0, kind,
+                               child_seed(3))
+        assert out.format is Format.BIPOLAR
+        assert np.array_equal(out.bits, ref)
+
+
 class TestNetworkForward:
     def net_1layer(self, weights, m=1.0):
         return NetworkSpec((LayerSpec(np.asarray(weights, dtype=float), m),))
@@ -209,6 +288,12 @@ class TestClassify:
         feats = np.array([[1.0]])
         assert accuracy(net, feats, np.array([0]), EvalConfig()) == 1.0
 
+    @pytest.mark.parametrize("n_labels", [1, 4])
+    def test_label_count_must_match_rows(self, n_labels):
+        net = NetworkSpec((LayerSpec(np.array([[1.0, -1.0]]), 1.0),))
+        with pytest.raises(ValueError, match=f"{n_labels} labels for 2 "):
+            accuracy(net, np.ones((2, 1)), np.zeros(n_labels), EvalConfig())
+
     def test_empty_dataset_rejected(self):
         net = NetworkSpec((LayerSpec(np.array([[1.0, -1.0]]), 1.0),))
         with pytest.raises(ValueError):
@@ -240,6 +325,10 @@ class TestPersistence:
         with pytest.raises(ValueError):
             NetworkSpec((LayerSpec(np.zeros((3, 2)), 1.0),
                          LayerSpec(np.zeros((4, 1)), 1.0)))
+
+    def test_eval_config_rejects_non_kind(self):
+        with pytest.raises(TypeError, match="'normal'"):
+            EvalConfig(stream_length=256, sng_kind="normal")
 
     def test_eval_config_lengths(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,11 @@ class TestAveragePower:
     def test_bms_power_band(self, cost_model):
         assert average_power(BMS, cost_model) == pytest.approx(62e-6, rel=0.20)
 
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_mean_energy_needs_two_grid_points(self, cost_model, grid_points):
+        with pytest.raises(ValueError, match=f"got {grid_points}"):
+            mean_energy_per_bit(BMS, cost_model, grid_points=grid_points)
+
     def test_power_is_energy_over_period(self, cost_model):
         for kind in (NORMAL, BMS):
             assert average_power(kind, cost_model) == pytest.approx(
@@ -184,6 +189,25 @@ class TestSharedPaths:
                                   (BMS, 0.2, False), (BMS, 0.8, True)):
             bits, switched = sng_bits(p, 256, kind, np.random.default_rng(3))
             assert np.array_equal(bits.astype(bool), switched ^ inverted)
+
+    @pytest.mark.parametrize("kind", [NORMAL, BMS])
+    def test_array_p_matches_per_p_calls(self, kind):
+        """One call on an array of p equals one scalar draw per p, in order,
+        with the bit map rebuilt from the scalar write_probability."""
+        ps = np.concatenate([[0.0, 0.5, 1.0, 0.25, 0.75],
+                             np.random.default_rng(5).uniform(0, 1, 7)])
+        for shape in ((12,), (3, 4)):
+            bits, switched = sng_bits(ps.reshape(shape), 64, kind,
+                                      np.random.default_rng(9))
+            assert bits.shape == switched.shape == shape + (64,)
+            rng = np.random.default_rng(9)
+            for p, row_bits, row_switched in zip(
+                    ps, bits.reshape(-1, 64), switched.reshape(-1, 64)):
+                ref_switched = rng.random(64) < write_probability(p, kind)
+                inverted = kind is NORMAL or p >= 0.5
+                assert np.array_equal(row_switched, ref_switched)
+                assert np.array_equal(row_bits.astype(bool),
+                                      ref_switched ^ inverted)
 
     def test_generate_stream_energy_from_split(self, cost_model):
         model = cost_model.switching

@@ -12,6 +12,7 @@ from mtjsc.streams import (
     bernoulli_stream,
     default_tanh_states,
     fsm_tanh,
+    fsm_tanh_rows,
     isc_add,
     isc_encode,
     isc_multiply,
@@ -242,6 +243,73 @@ class TestFsmTanh:
         for m in range(1, 9):
             k = default_tanh_states(m)
             assert k >= 2 and k % 2 == 0
+
+
+def fsm_reference(steps, n_states):
+    """The saturating counter, cycle by cycle, in Python integers."""
+    top, half = n_states - 1, n_states // 2
+    state, out = half, []
+    for d in steps:
+        state = min(max(state + int(d), 0), top)
+        out.append(1 if state >= half else 0)
+    return out
+
+
+class TestFsmScan:
+    """The doubling scan against the cycle-by-cycle counter, bit for bit."""
+
+    def check(self, steps, n_states):
+        steps = np.asarray(steps)
+        n_states = np.broadcast_to(n_states, steps.shape[:1])
+        out = fsm_tanh_rows(steps, n_states)
+        assert out.shape == steps.shape and out.dtype == np.uint8
+        for row, k, bits in zip(steps, n_states, out):
+            assert bits.tolist() == fsm_reference(row, int(k))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257, 1024])
+    def test_random_levels(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 4, 25):
+            levels = rng.integers(0, m + 1, (6, n))
+            for k in (2, 4, 10, 2 * m + 2):
+                self.check(2 * levels - m, k)
+
+    def test_two_states(self):
+        rng = np.random.default_rng(1)
+        self.check(rng.integers(-3, 4, (5, 300)), 2)
+
+    def test_steps_wider_than_state_range(self):
+        rng = np.random.default_rng(2)
+        self.check(rng.integers(-40, 41, (4, 200)), 6)
+        # steps this large leave the int32 range of the scan's prefix sums
+        self.check(rng.integers(-2**40, 2**40, (3, 100)), 8)
+
+    def test_saturating_inputs(self):
+        up = np.full((2, 100), 3)
+        self.check(up, 8)
+        self.check(-up, 8)
+        flip = np.concatenate([np.full(60, 5), np.full(60, -5),
+                               np.full(60, 1)])[None, :]
+        self.check(flip, 12)
+
+    def test_rows_with_different_state_counts(self):
+        rng = np.random.default_rng(3)
+        steps = rng.integers(-9, 10, (7, 513))
+        self.check(steps, np.array([2, 4, 6, 10, 18, 40, 200]))
+
+    def test_wrapper_matches_rows(self):
+        a = isc_encode(0.4, 3, 500, seed=4, fmt=BIP)
+        out = fsm_tanh(a, 8)
+        assert out.format is BIP
+        assert out.bits.tolist() == fsm_reference(2 * a.levels - a.m, 8)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="even"):
+            fsm_tanh_rows(np.zeros((2, 4), dtype=int), [4, 5])
+        with pytest.raises(ValueError):
+            fsm_tanh_rows(np.zeros(4, dtype=int), 4)
+        with pytest.raises(ValueError):
+            fsm_tanh_rows(np.zeros((1, 4)), 4)
 
 
 class TestStreamBasics:
