@@ -13,10 +13,14 @@ Draw order.  The stream path draws every random number of a sample from
 one generator, `child_seed(config.seed, 7, *sample_key)`, in this order:
 the input streams, input by input; then, layer by layer and neuron by
 neuron, the neuron's weight streams, input by input, followed by its two
-fair-bit rows.  Each stream is n consecutive doubles.  The layer kernel
-draws them in blocks of whole rows, which consumes the generator exactly as
-one draw per stream would, so outputs depend on this order and not on how
-the draws are batched.
+fair-bit rows.  Each row of n cycles consumes ceil(n/4) raw 64-bit words
+of `rng.bit_generator.random_raw`, read as little-endian uint16 with the
+first n kept (`sng.uniform16`).  A weight or input bit compares its
+uniform with a threshold that quantizes the write probability to 2**-16
+(`sng.write_thresholds`), and a fair bit is u < 2**15.  The layer kernel
+draws whole rows in blocks, which consumes the generator exactly as one
+draw per row would, so outputs depend on this order and not on how the
+draws are batched.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sng import SngKind, sng_bits
+from .sng import FAIR_THRESHOLD, SngKind, uniform16, write_thresholds
 from .streams import (
     Format,
     StochasticStream,
@@ -36,9 +40,9 @@ from .streams import (
 
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
 
-# Most doubles drawn by one rng.random call on the stream path, to bound the
-# memory of a draw.  Larger blocks are split by rows, in order, which leaves
-# the bits unchanged.
+# Most 64-bit generator words drawn by one call on the stream path (512 KB),
+# to bound the memory of a draw.  Larger blocks are split by rows, in order,
+# which leaves the bits unchanged.
 DRAW_BLOCK = 1 << 16
 
 # E[x^2] of an input uniform on [-1, 1], used to size the neuron FSM.  The
@@ -69,8 +73,9 @@ class LayerSpec:
             raise ValueError("layer weights must be finite")
         if np.max(np.abs(w), initial=0.0) > 1.0 + 1e-9:
             raise ValueError("scaled weights must lie in [-1, 1]")
-        if self.m_scale < 1.0:
-            raise ValueError("scaling factor M must be >= 1")
+        if not (np.isfinite(self.m_scale) and self.m_scale >= 1.0):
+            raise ValueError(
+                f"scaling factor M must be finite and >= 1, got {self.m_scale!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -145,16 +150,17 @@ def weight_sum_offset(w_sum, n_inputs: int, n: int) -> np.ndarray:
     return np.diff(edges).astype(np.int32) + (n_inputs + 1) // 2
 
 
-def _draw_bits(p: np.ndarray, n: int, kind: SngKind,
-               rng: np.random.Generator) -> np.ndarray:
-    """SNG bits for each value in the 1-D array p, shape (p.size, n).
+def _uniform_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """`sng.uniform16` for `rows` rows of n cycles, shape (rows, n).
 
-    Rows are drawn in order, in blocks of at most DRAW_BLOCK doubles, so
-    the result equals one sng_bits call per value.
+    Rows are drawn in order, in blocks of at most DRAW_BLOCK words, so the
+    result equals one draw per row.
     """
-    rows = max(1, DRAW_BLOCK // n)
-    return np.concatenate([sng_bits(p[i:i + rows], n, kind, rng)[0]
-                           for i in range(0, p.size, rows)])
+    per_block = max(1, DRAW_BLOCK // -(-n // 4))
+    if rows <= per_block:
+        return uniform16(rng, (rows,), n)
+    return np.concatenate([uniform16(rng, (min(per_block, rows - i),), n)
+                           for i in range(0, rows, per_block)])
 
 
 def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
@@ -163,12 +169,15 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
 
     x_bits holds one bipolar input stream per row, shape (fan_in, n); the
     result holds one output stream per neuron, shape (fan_out, n).  Fresh
-    weight streams are drawn neuron by neuron by `sng.sng_bits`, without
-    energy bookkeeping.  A neuron's adder tree sums its XNOR products,
-    which carry w.x; the +sum(w) half is a design-time constant and enters
-    the tree as the deterministic `weight_sum_offset`.  Its FSM's state
-    count is M * sum_i(1 - w_i^2 E[x^2]), the adder's per-cycle variance
-    times the layer gain.
+    weight streams are drawn neuron by neuron, without energy bookkeeping:
+    one word draw per neuron covers its weight rows and its two fair rows.
+    A weight bit is (u < threshold) ^ flip (`sng.write_thresholds`), so its
+    XNOR with the input bit mismatches where (u < threshold) differs from
+    flip ^ x; the adder counts fan_in minus the mismatches, plus the fair
+    bits.  The adder tree carries w.x; the +sum(w) half is a design-time
+    constant and enters the tree as the deterministic `weight_sum_offset`.
+    Its FSM's state count is M * sum_i(1 - w_i^2 E[x^2]), the adder's
+    per-cycle variance times the layer gain.
     """
     n_inputs, n = x_bits.shape
     if n_inputs != layer.weights.shape[0]:
@@ -177,16 +186,28 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
     # Sums over rows of w.T, not w.sum(axis=0): a column sum can differ in
     # the last ulp, and that can move a weight_sum_offset level.
     w_rows = np.ascontiguousarray(layer.weights.T)
-    p_rows = (w_rows + 1.0) / 2.0
-    counts = np.empty((w_rows.shape[0], n), dtype=np.int32)
-    for j, p in enumerate(p_rows):
-        matches = _draw_bits(p, n, kind, rng) == x_bits
-        # a pair of independent fair bits (bipolar value 0) keeps the
-        # counter moving when every input stream happens to be deterministic
-        fair = rng.random((2, n)) < 0.5
-        counts[j] = (matches.sum(axis=0, dtype=np.int32)
-                     + fair.sum(axis=0, dtype=np.int32))
-    levels = weight_sum_offset(w_rows.sum(axis=1), n_inputs, n) + counts
+    thresholds, _, flips = write_thresholds((w_rows + 1.0) / 2.0, kind)
+    thresholds = thresholds[..., None]
+    flips = flips[..., None]
+    x_bits = x_bits.astype(bool)
+    fan_out = w_rows.shape[0]
+    below = np.empty((n_inputs, n), dtype=bool)
+    key = np.empty_like(below)
+    mismatches = np.empty((fan_out, n),
+                          dtype=np.uint16 if n_inputs < 1 << 16 else np.int64)
+    fair_u = np.empty((fan_out, 2, n), dtype=np.uint16)
+    for j in range(fan_out):
+        u = _uniform_rows(rng, n_inputs + 2, n)
+        np.less(u[:n_inputs], thresholds[j], out=below)
+        np.bitwise_xor(flips[j], x_bits, out=key)
+        np.bitwise_xor(below, key, out=below)
+        below.view(np.uint8).sum(axis=0, out=mismatches[j])
+        fair_u[j] = u[n_inputs:]
+    # a pair of independent fair bits (bipolar value 0) keeps the counter
+    # moving when every input stream happens to be deterministic
+    fair = (fair_u < FAIR_THRESHOLD).sum(axis=1, dtype=np.int32)
+    levels = (weight_sum_offset(w_rows.sum(axis=1), n_inputs, n) + n_inputs
+              + fair - mismatches)
     m = n_inputs + 2 * ((n_inputs + 1) // 2) + 2
     variance_per_input = (1.0 - np.mean(w_rows * w_rows, axis=1)
                           * INPUT_SECOND_MOMENT)
@@ -221,12 +242,18 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
     x = np.asarray(x, dtype=float)
     if x.shape != (net.dims[0],):
         raise ValueError(f"input shape {x.shape} does not match dims {net.dims}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"input {bad[0]} is {float(x[bad[0]])}; inputs must "
+                         "be finite")
     if config.stream_length is None:
         return network_forward_float(net, x)
     n = config.stream_length
     rng = child_seed(config.seed, 7, *sample_key)
-    bits = _draw_bits((np.clip(x, -1.0, 1.0) + 1.0) / 2.0, n,
-                      config.sng_kind, rng)
+    thresholds, _, flips = write_thresholds((np.clip(x, -1.0, 1.0) + 1.0) / 2.0,
+                                            config.sng_kind)
+    bits = ((_uniform_rows(rng, x.size, n) < thresholds[:, None])
+            ^ flips[:, None]).view(np.uint8)
     for layer in net.layers:
         bits = layer_forward_isc(layer, bits, config.sng_kind, rng)
     return (2 * bits.sum(axis=1, dtype=np.int64) - n) / n

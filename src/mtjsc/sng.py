@@ -8,8 +8,10 @@ biased variant (BMS) always writes the cheaper of p and 1 - p internally
 and restores the requested value with an inverting mux, which caps the
 worst-case write pulse at the 50%-probability width.
 
-`sng_bits` maps p to delivered bits for both generators and for the
-network's stream path.  The per-outcome write energies come from
+`write_thresholds` quantizes the write probability to 2**-16 and holds the
+delivered-bit map; `sng_bits` applies them to 16-bit uniforms drawn from
+raw generator words, for both generators and for the network's stream
+path.  The per-outcome write energies come from
 `device.write_energy_split`, cached per model by capped write probability.
 """
 
@@ -36,6 +38,12 @@ from .streams import Format, StochasticStream
 WRITE_PROBABILITY_CAP = 0.999
 
 DEFAULT_MUX_INV_ENERGY = 5e-15  # J/bit, BMS mux + inverter estimate
+
+# Stream bits compare 16-bit uniforms with integer thresholds, so write
+# probabilities are quantized to multiples of 2**-16: THRESHOLD_ONE is
+# q = 1, and u < FAIR_THRESHOLD is a fair bit.
+THRESHOLD_ONE = 1 << 16
+FAIR_THRESHOLD = 1 << 15
 
 
 class SngKind(enum.Enum):
@@ -92,8 +100,8 @@ def build_cost_model(model: SwitchingModel | None = None,
 def write_probability(p: float, kind: SngKind) -> float:
     """AP->P switching probability that realizes a stream of value p.
 
-    Scalar only, for the cost path; `sng_bits` applies the same map to
-    arrays of p.
+    Scalar only, for the cost path; `write_thresholds` applies the same map
+    to arrays of p and quantizes it for the bit draw.
     """
     if kind is SngKind.NORMAL:
         return 1.0 - p
@@ -116,33 +124,68 @@ def _write_split(q: float, cost_model: SngCostModel) -> WriteEnergySplit:
     return cache[q_c]
 
 
+def uniform16(rng: np.random.Generator, rows: tuple, n: int) -> np.ndarray:
+    """16-bit uniforms of shape rows + (n,) from raw generator words.
+
+    Each row consumes ceil(n/4) words of `rng.bit_generator.random_raw`,
+    read as little-endian uint16 with the first n kept, so a block of rows
+    equals one call per row made in order.
+    """
+    words = rng.bit_generator.random_raw(rows + (-(-n // 4),))
+    return words.astype("<u8", copy=False).view("<u2")[..., :n]
+
+
+def write_thresholds(p, kind: SngKind):
+    """Quantized write thresholds and bit maps for a float or array of p.
+
+    The write probability q = write_probability(p, kind) is quantized to
+    c = rint(q * 2**16).  A cycle with 16-bit uniform u switches when
+    u < c for c <= 2**15 and when NOT(u < 2**16 - c) otherwise, so every
+    threshold fits uint16, q = 0 never switches and q = 1 always does.
+    Returns (threshold, high, flip), each of p's shape: switched is
+    (u < threshold) ^ high, and the delivered bit is (u < threshold) ^ flip.
+    The normal generator delivers the inverted stored bit; BMS inverts
+    only where p >= 0.5, where it writes 1 - p.  Except within 2**-17 of
+    p = 1/2, both kinds reach the same threshold and flip, so they deliver
+    the same bits from the same uniforms and differ only in which writes
+    switch.
+    """
+    p = np.asarray(p, dtype=float)
+    q = 1.0 - p if kind is SngKind.NORMAL else np.minimum(p, 1.0 - p)
+    c = np.rint(q * THRESHOLD_ONE)
+    high = c > FAIR_THRESHOLD
+    threshold = np.where(high, THRESHOLD_ONE - c, c).astype(np.uint16)
+    invert = True if kind is SngKind.NORMAL else p >= 0.5
+    return threshold, high, high ^ invert
+
+
 def sng_bits(p, n: int, kind: SngKind,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Delivered bits and switched-write mask of n generator cycles at value p.
 
     p is a float or an array of values; the results have shape
-    p.shape + (n,), drawn by one rng.random call in C order, so row i holds
-    the bits that a call at p[i] alone would draw next.  A cycle's write
-    switches with probability write_probability(p, kind), evaluated
-    elementwise.  The normal generator delivers the inverted stored bit;
-    BMS inverts only where p >= 0.5, where it writes 1 - p.  p is not
+    p.shape + (n,).  Each row compares n 16-bit uniforms, drawn by
+    `uniform16` from ceil(n/4) raw 64-bit words, with the row's quantized
+    threshold from `write_thresholds`.  The rows are drawn in C order, so
+    row i holds the bits that a call at p[i] alone would draw next, for
+    any n.  A cycle's write switches with probability
+    rint(q * 2**16) / 2**16 for q = write_probability(p, kind).  p is not
     validated here: this is the stream path's hot loop, and its callers
     clip or check p.
     """
-    p = np.asarray(p, dtype=float)
-    q = 1.0 - p if kind is SngKind.NORMAL else np.minimum(p, 1.0 - p)
-    switched = rng.random(p.shape + (n,)) < q[..., None]
-    invert = True if kind is SngKind.NORMAL else (p >= 0.5)[..., None]
-    return (switched ^ invert).view(np.uint8), switched
+    threshold, high, flip = write_thresholds(p, kind)
+    below = uniform16(rng, threshold.shape, n) < threshold[..., None]
+    return (below ^ flip[..., None]).view(np.uint8), below ^ high[..., None]
 
 
 def generate_stream(p: float, n: int, kind: SngKind, seed,
                     cost_model: SngCostModel) -> tuple[StochasticStream, float]:
     """Generate n bits of value p and the total energy spent doing so.
 
-    Deterministic given the seed.  The delivered stream is Bernoulli(p)
+    Deterministic given the seed.  The delivered stream is Bernoulli(p),
+    with the write probability quantized to 2**-16 (`write_thresholds`),
     regardless of kind; kind changes the internal write probability and
-    therefore the cost.
+    therefore the cost, which is priced at the unquantized probability.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")

@@ -34,8 +34,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(
+                f"learning rate must be finite and positive, got {self.eta!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be >= 1")
 

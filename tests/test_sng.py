@@ -20,6 +20,7 @@ from mtjsc.sng import (
     mean_energy_per_bit,
     sng_bits,
     write_probability,
+    write_thresholds,
 )
 
 NORMAL = SngKind.NORMAL
@@ -29,6 +30,23 @@ BMS = SngKind.BMS
 @pytest.fixture(scope="module")
 def cost_model():
     return build_cost_model()
+
+
+def reference_switched(p, n, kind, rng):
+    """n switched-write flags at value p, one Python int at a time.
+
+    Word k of the generator's raw output gives the 16-bit uniforms
+    4k..4k+3, from its low bits up.  The write probability is quantized to
+    c = round(q * 2**16); a cycle switches when u < c for c <= 2**15 and
+    when not u < 2**16 - c otherwise.
+    """
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    uniforms = [(int(word) >> (16 * k)) & 0xFFFF
+                for word in words for k in range(4)][:n]
+    c = round(write_probability(p, kind) * 2**16)
+    if c <= 2**15:
+        return np.array([u < c for u in uniforms])
+    return np.array([not u < 2**16 - c for u in uniforms])
 
 
 class TestBitPeriod:
@@ -192,8 +210,9 @@ class TestSharedPaths:
 
     @pytest.mark.parametrize("kind", [NORMAL, BMS])
     def test_array_p_matches_per_p_calls(self, kind):
-        """One call on an array of p equals one scalar draw per p, in order,
-        with the bit map rebuilt from the scalar write_probability."""
+        """One call on an array of p equals one per-row reference draw per
+        p, in order, with the bit map rebuilt from the scalar
+        write_probability."""
         ps = np.concatenate([[0.0, 0.5, 1.0, 0.25, 0.75],
                              np.random.default_rng(5).uniform(0, 1, 7)])
         for shape in ((12,), (3, 4)):
@@ -203,11 +222,67 @@ class TestSharedPaths:
             rng = np.random.default_rng(9)
             for p, row_bits, row_switched in zip(
                     ps, bits.reshape(-1, 64), switched.reshape(-1, 64)):
-                ref_switched = rng.random(64) < write_probability(p, kind)
+                ref_switched = reference_switched(p, 64, kind, rng)
                 inverted = kind is NORMAL or p >= 0.5
                 assert np.array_equal(row_switched, ref_switched)
                 assert np.array_equal(row_bits.astype(bool),
                                       ref_switched ^ inverted)
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 128])
+    @pytest.mark.parametrize("kind", [NORMAL, BMS])
+    def test_block_rows_equal_per_row_calls(self, kind, n):
+        """Each row of a block draw equals a scalar call made next, for
+        lengths that end mid-word and on a word boundary."""
+        ps = np.random.default_rng(n).uniform(0, 1, 5)
+        bits, switched = sng_bits(ps, n, kind, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for p, row_bits, row_switched in zip(ps, bits, switched):
+            ref_bits, ref_switched = sng_bits(p, n, kind, rng)
+            assert np.array_equal(row_bits, ref_bits)
+            assert np.array_equal(row_switched, ref_switched)
+
+    @pytest.mark.parametrize("kind", [NORMAL, BMS])
+    def test_certain_write_probabilities_are_constant(self, kind):
+        """q = 0 never switches and q = 1 always does, so p = 0 and p = 1
+        (weights of -1 and +1) give constant streams."""
+        for p in (0.0, 1.0):
+            bits, switched = sng_bits(p, 4096, kind, np.random.default_rng(2))
+            assert np.array_equal(bits, np.full(4096, p, dtype=np.uint8))
+            assert np.array_equal(switched,
+                                  np.full(4096, write_probability(p, kind) == 1))
+
+    def test_thresholds_quantize_to_2_16(self):
+        """c = rint(q * 2**16); thresholds above 2**15 are stored as
+        2**16 - c with the compare inverted."""
+        ps = np.array([0.0, 1.0, 0.5, 0.75, 0.2, 3 / 2**17, 5 / 2**17, 1 / 3])
+        threshold, high, flip = write_thresholds(ps, NORMAL)
+        # q = 1 - p: 1, 0, 1/2, 1/4, 0.8, 1 - 1.5/2**16 and 1 - 2.5/2**16
+        # (ties, both to the even 2**16 - 2) and 2/3
+        assert threshold.dtype == np.uint16
+        assert threshold.tolist() == [0, 0, 2**15, 2**14, 13107, 2, 2, 21845]
+        assert high.tolist() == [True, False, False, False, True, True, True,
+                                 True]
+        assert np.array_equal(flip, ~high)
+        threshold, high, flip = write_thresholds(ps, BMS)
+        assert threshold.tolist() == [0, 0, 2**15, 2**14, 13107, 2, 2, 21845]
+        assert not high.any()
+        assert np.array_equal(flip, ps >= 0.5)
+
+    @pytest.mark.parametrize("kind", [NORMAL, BMS])
+    def test_switch_frequency_is_quantized_q(self, kind):
+        """Over 2**20 cycles the switch frequency matches c / 2**16.
+
+        Margin: 5 binomial standard errors of c / 2**16 at 2**20 cycles, a
+        two-sided false-failure chance below 1e-6 per threshold.  The p
+        cover both compare branches and both sides of 2**15.
+        """
+        n = 1 << 20
+        ps = np.array([0.125, 0.49, 0.5, 0.51, 0.75, 0.99, 0.9999])
+        _, switched = sng_bits(ps, n, kind, np.random.default_rng(21))
+        for p, row in zip(ps, switched):
+            q = round(write_probability(p, kind) * 2**16) / 2**16
+            sigma = np.sqrt(q * (1 - q) / n)
+            assert abs(row.mean() - q) <= 5 * sigma
 
     def test_generate_stream_energy_from_split(self, cost_model):
         model = cost_model.switching

@@ -110,6 +110,11 @@ class TestTrainBackprop:
         with pytest.raises(ValueError):
             train_backprop((3, 2), toy_dataset(), TrainConfig())
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_config_rejects_bad_eta(self, eta):
+        with pytest.raises(ValueError, match=f"got {eta!r}"):
+            TrainConfig(eta=eta)
+
     def test_divergence_detected(self):
         data = blob_dataset()
         with pytest.raises(RuntimeError, match="diverged"):
