@@ -17,9 +17,10 @@ and end-state currents.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 MU_B = 9.274009994e-24  # J/T
@@ -70,12 +71,15 @@ class MtjParams:
     t_read: float = 2.0e-9              # s
 
     def __post_init__(self):
-        if self.delta <= 0 or self.jc0_p2ap <= 0 or self.jc0_ap2p <= 0:
-            raise ValueError("delta and critical current densities must be positive")
-        if not 0 < self.eta_spin <= 1:
-            raise ValueError("spin transfer efficiency must be in (0, 1]")
-        if self.cell_area <= 0 or self.tmr <= 0 or self.ra_product <= 0:
-            raise ValueError("cell_area, tmr and ra_product must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            # v_read is negative by design; every other field is a magnitude.
+            if f.name != "v_read" and value <= 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
+        if self.eta_spin > 1:
+            raise ValueError(f"eta_spin must be in (0, 1], got {self.eta_spin}")
 
     @property
     def r_p(self) -> float:
@@ -122,7 +126,16 @@ class SwitchingModel:
         return self.norm_constant[direction]
 
 
+def _check_time(name: str, t: float) -> None:
+    """Reject a pulse width or time that is negative or not finite: adaptive
+    Simpson never meets its tolerance on a NaN or infinite interval."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {t}")
+
+
 def _overdrive(params: MtjParams, bias: float, direction: SwitchDirection) -> float:
+    if not math.isfinite(bias):
+        raise ValueError(f"bias must be finite, got {bias}")
     j = params.current_density(bias, direction)
     jc0 = params.jc0(direction)
     if j <= jc0:
@@ -133,37 +146,48 @@ def _overdrive(params: MtjParams, bias: float, direction: SwitchDirection) -> fl
     return j - jc0
 
 
-def _raw_density(t: float, kappa: float, over: float, delta: float) -> float:
-    phi = 0.5 * math.pi * math.exp(-kappa * t)
-    s2 = math.sin(phi) ** 2
-    return math.exp(-delta * s2) * over * s2
+def _density(params: MtjParams, bias: float, direction: SwitchDirection):
+    """The uncalibrated density t -> exp(-delta*s2) * over * s2, where
+    s2 = sin^2((pi/2) * exp(-kappa*t)), with its kappa and overdrive."""
+    over = _overdrive(params, bias, direction)
+    kappa = params.spin_rate() * over
+    half_pi, neg_kappa, neg_delta = 0.5 * math.pi, -kappa, -params.delta
+    exp, sin = math.exp, math.sin
+
+    def density(t: float) -> float:
+        s2 = sin(half_pi * exp(neg_kappa * t)) ** 2
+        return exp(neg_delta * s2) * over * s2
+
+    return density, kappa, over
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance `tol`."""
+_MAX_DEPTH = 40
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * eps
-        return (recurse(x0, xm, f0, fl, f1, left, half, depth - 1)
-                + recurse(xm, x2, f1, fr, f2, right, half, depth - 1))
-
+def _adaptive_simpson(f, a: float, b: float, fa: float, fb: float,
+                      tol: float) -> float:
+    """Adaptive Simpson quadrature of f over [a, b] with absolute tolerance
+    `tol`, given the endpoint values fa = f(a) and fb = f(b)."""
     if b <= a:
         return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    fm = f(0.5 * (a + b))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
+
+
+def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, eps, depth):
+    xm = 0.5 * (x0 + x2)
+    xl = 0.5 * (x0 + xm)
+    xr = 0.5 * (xm + x2)
+    fl = f(xl)
+    fr = f(xr)
+    left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
+    right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
+        return left + right + (left + right - whole) / 15.0
+    half = 0.5 * eps
+    return (_simpson_recurse(f, x0, xm, f0, fl, f1, left, half, depth - 1)
+            + _simpson_recurse(f, xm, x2, f1, fr, f2, right, half, depth - 1))
 
 
 # The density is a narrow bump on the kappa*t timescale; splitting the
@@ -172,65 +196,76 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 40) ->
 _SPLIT_POINTS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 18.0, 25.0)
 
 
-def _integrate_density(f, t_end: float, kappa: float, tol: float) -> float:
-    if t_end <= 0:
-        return 0.0
-    knots = [0.0]
-    for x in _SPLIT_POINTS:
-        t = x / kappa
-        if t < t_end:
-            knots.append(t)
-    knots.append(t_end)
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        total += _adaptive_simpson(f, lo, hi, tol / len(knots))
-    return total
+def _integrator(f, kappa: float, tol: float):
+    """t_end -> integral of f over [0, t_end].
+
+    The range is split at 0, at every knot x/kappa below t_end and at
+    t_end, and each segment gets tolerance tol / (number of knots).  A full
+    segment between two knots thus depends only on its index and the knot
+    count: it is integrated once per such pair and reused by later calls of
+    the same integrator.  The last segment, which ends at t_end, is
+    integrated on every call.  Adjacent segments share f at their common
+    knot.
+    """
+    knots = [0.0] + [x / kappa for x in _SPLIT_POINTS]
+    f_knots = [f(t) for t in knots]
+    segments = {}
+
+    def integral(t_end: float) -> float:
+        if t_end <= 0:
+            return 0.0
+        last = bisect.bisect_left(knots, t_end) - 1
+        n_knots = last + 2
+        seg_tol = tol / n_knots
+        total = 0.0
+        for i in range(last):
+            seg = segments.get((i, n_knots))
+            if seg is None:
+                seg = segments[i, n_knots] = _adaptive_simpson(
+                    f, knots[i], knots[i + 1], f_knots[i], f_knots[i + 1], seg_tol)
+            total += seg
+        return total + _adaptive_simpson(f, knots[last], t_end, f_knots[last],
+                                         f(t_end), seg_tol)
+
+    return integral
 
 
-def _raw_cdf(params: MtjParams, t_end: float, bias: float,
-             direction: SwitchDirection, tol: float = 1e-9) -> float:
-    """Integral of the uncalibrated density from 0 to t_end."""
-    over = _overdrive(params, bias, direction)
-    kappa = params.spin_rate() * over
-    f = lambda t: _raw_density(t, kappa, over, params.delta)
-    return _integrate_density(f, t_end, kappa, tol * max(over, 1.0))
+def _cdf_evaluator(params: MtjParams, bias: float, direction: SwitchDirection):
+    """The uncalibrated CDF t_end -> integral of the density over [0, t_end],
+    for one (params, bias, direction).  Its segment memo lives as long as
+    the evaluator."""
+    density, kappa, over = _density(params, bias, direction)
+    return _integrator(density, kappa, 1e-9 * max(over, 1.0))
 
 
 def switching_density(t: float, direction: SwitchDirection, bias: float,
                       model: SwitchingModel) -> float:
     """Probability density (1/s) of switching at time t under a pulse."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    params = model.params
-    over = _overdrive(params, bias, direction)
-    kappa = params.spin_rate() * over
-    return model.constant(direction) * _raw_density(t, kappa, over, params.delta)
+    _check_time("t", t)
+    density, _, _ = _density(model.params, bias, direction)
+    return model.constant(direction) * density(t)
 
 
 def switching_probability(t_p: float, direction: SwitchDirection, bias: float,
                           model: SwitchingModel) -> float:
     """Cumulative switching probability for a pulse of width t_p, in [0, 1]."""
-    if t_p < 0:
-        raise ValueError("t_p must be nonnegative")
+    _check_time("t_p", t_p)
     if t_p == 0:
         return 0.0
-    raw = _raw_cdf(model.params, t_p, bias, direction)
+    raw = _cdf_evaluator(model.params, bias, direction)(t_p)
     return min(1.0, max(0.0, model.constant(direction) * raw))
 
 
 def expected_switch_time(t_p: float, direction: SwitchDirection, bias: float,
                          model: SwitchingModel) -> float:
     """Integral of t * pdf(t) over [0, t_p] (unconditional, in seconds)."""
-    if t_p < 0:
-        raise ValueError("t_p must be nonnegative")
+    _check_time("t_p", t_p)
     if t_p == 0:
         return 0.0
-    params = model.params
-    over = _overdrive(params, bias, direction)
-    kappa = params.spin_rate() * over
-    f = lambda t: t * _raw_density(t, kappa, over, params.delta)
-    raw = _integrate_density(f, t_p, kappa, 1e-9 * max(over * t_p, 1.0))
-    return model.constant(direction) * raw
+    density, kappa, over = _density(model.params, bias, direction)
+    first_moment = _integrator(lambda t: t * density(t), kappa,
+                               1e-9 * max(over * t_p, 1.0))
+    return model.constant(direction) * first_moment(t_p)
 
 
 class WriteEnergySplit(NamedTuple):
@@ -277,21 +312,29 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
                                 max_pulse: float = DEFAULT_MAX_PULSE) -> float:
     """Smallest pulse width whose switching probability equals p.
 
-    Solved by bisection to a relative width tolerance of 1e-6.  Raises if p
-    is not reachable below `max_pulse`.
+    Solved by bisection to a relative width tolerance of 1e-6, every
+    midpoint priced as `switching_probability` prices it, through one CDF
+    evaluator.  Raises if p is not reachable below `max_pulse`.
     """
     if not 0.0 <= p < 1.0:
-        raise ValueError("p must be in [0, 1)")
+        raise ValueError(f"p must be in [0, 1), got {p}")
+    _check_time("max_pulse", max_pulse)
     if p == 0.0:
         return 0.0
+    cdf = _cdf_evaluator(model.params, bias, direction)
+    c = model.constant(direction)
+
+    def probability(t: float) -> float:
+        return min(1.0, max(0.0, c * cdf(t)))
+
     lo, hi = 0.0, max_pulse
-    if switching_probability(hi, direction, bias, model) < p:
+    if probability(hi) < p:
         raise ValueError(
             f"switching probability {p} not reachable below {max_pulse * 1e9:.3g} ns"
         )
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        if switching_probability(mid, direction, bias, model) < p:
+        if probability(mid) < p:
             lo = mid
         else:
             hi = mid
@@ -302,8 +345,9 @@ def _fit_constant(params: MtjParams, anchor: tuple) -> float:
     """Density constant that puts the CDF through `anchor`."""
     t_p, p, direction, bias = anchor
     if not 0.0 < p < 1.0:
-        raise ValueError("anchor probability must be in (0, 1)")
-    raw = _raw_cdf(params, t_p, bias, direction)
+        raise ValueError(f"anchor probability must be in (0, 1), got {p}")
+    _check_time("anchor pulse width", t_p)
+    raw = _cdf_evaluator(params, bias, direction)(t_p)
     if raw <= 0.0:
         raise RuntimeError("calibration failed: zero density mass at the anchor")
     return p / raw
@@ -349,8 +393,11 @@ def calibrate_direction_to_energy(model: SwitchingModel, energy: float, p: float
         return expected_write_energy(t_anchor, direction, bias, m)
 
     lo, hi = bracket
-    if not energy_at(lo) < energy < energy_at(hi):
-        raise RuntimeError("energy anchor outside the bracketable range")
+    e_lo, e_hi = energy_at(lo), energy_at(hi)
+    if not e_lo < energy < e_hi:
+        raise RuntimeError(
+            f"energy anchor {energy} J outside the bracketable range: "
+            f"{e_lo} J at {lo} s, {e_hi} J at {hi} s")
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         if energy_at(mid) < energy:

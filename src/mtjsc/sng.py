@@ -18,6 +18,7 @@ path.  The per-outcome write energies come from
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,10 +67,17 @@ class SngCostModel:
                                       repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("reset_energy", "read_energy", "mux_inv_energy",
+                     "bit_period_normal", "bit_period_bms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.bit_period_bms >= self.bit_period_normal:
-            raise ValueError("BMS bit period must be shorter than normal")
-        if min(self.reset_energy, self.read_energy, self.mux_inv_energy) < 0:
-            raise ValueError("energies must be nonnegative")
+            raise ValueError(
+                f"BMS bit period {self.bit_period_bms} s must be shorter than "
+                f"the normal one, {self.bit_period_normal} s")
 
 
 def build_cost_model(model: SwitchingModel | None = None,
@@ -188,7 +196,7 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
     therefore the cost, which is priced at the unquantized probability.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+        raise ValueError(f"p must be in [0, 1], got {p}")
     if n < 1:
         raise ValueError("n must be >= 1")
     split = _write_split(write_probability(p, kind), cost_model)
@@ -209,7 +217,7 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
 def energy_per_bit(p: float, kind: SngKind, cost_model: SngCostModel) -> float:
     """Closed-form expected energy per generated bit at stream value p."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+        raise ValueError(f"p must be in [0, 1], got {p}")
     q = write_probability(p, kind)
     e = q * cost_model.reset_energy + cost_model.read_energy
     e += _write_split(q, cost_model).expected

@@ -1,5 +1,7 @@
 """Tests for the normal and biased MTJ stochastic number generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,13 +126,18 @@ class TestGenerateStream:
                 assert energy / n == pytest.approx(expected, rel=0.02)
 
     def test_input_validation(self, cost_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got 1.5"):
             generate_stream(1.5, 8, NORMAL, 0, cost_model)
         with pytest.raises(ValueError):
             generate_stream(0.5, 0, NORMAL, 0, cost_model)
 
 
 class TestEnergyPerBit:
+    @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
+    def test_rejects_p_outside_unit_interval(self, cost_model, p):
+        with pytest.raises(ValueError, match=rf"p must be in \[0, 1\], got {p}"):
+            energy_per_bit(p, BMS, cost_model)
+
     def test_bms_symmetry_exact(self, cost_model):
         for p in np.linspace(0.0, 1.0, 101):
             diff = abs(energy_per_bit(p, BMS, cost_model)
@@ -187,6 +194,18 @@ class TestSharedPaths:
                 if kind is BMS:
                     expected += cost_model.mux_inv_energy
                 assert energy_per_bit(p, kind, cost_model) == expected
+
+    @pytest.mark.parametrize("name", ["reset_energy", "read_energy",
+                                      "mux_inv_energy", "bit_period_normal",
+                                      "bit_period_bms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_cost_model_rejects_non_finite(self, cost_model, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            dataclasses.replace(cost_model, **{name: value})
+
+    def test_build_rejects_nan_mux_energy(self):
+        with pytest.raises(ValueError, match="mux_inv_energy must be finite, got nan"):
+            build_cost_model(mux_inv_energy=float("nan"))
 
     def test_cache_not_part_of_equality(self):
         warm, cold = build_cost_model(), build_cost_model()
