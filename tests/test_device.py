@@ -29,6 +29,7 @@ from mtjsc.device import (
     switching_probability,
     write_energy_split,
 )
+from mtjsc.sng import DEFAULT_MUX_INV_ENERGY, WRITE_PROBABILITY_CAP, build_cost_model
 
 AP2P = SwitchDirection.AP_TO_P
 P2AP = SwitchDirection.P_TO_AP
@@ -456,13 +457,14 @@ class TestExactReference:
         assert model.anchors[-1][0] == t_anchor
 
     def test_cost_model_fields(self, model):
-        from mtjsc.sng import WRITE_PROBABILITY_CAP, build_cost_model
         params = model.params
         v = params.v_write
         t_reset = ref_pulse_width(WRITE_PROBABILITY_CAP, P2AP, v, model)
         t_max = ref_pulse_width(WRITE_PROBABILITY_CAP, AP2P, v, model)
         t_bms = ref_pulse_width(0.5, AP2P, v, model)
         cost = build_cost_model(model)
+        assert cost.switching is model
+        assert cost.mux_inv_energy == DEFAULT_MUX_INV_ENERGY
         assert cost.reset_energy == ref_write_energy(t_reset, P2AP, v, model)
         assert cost.read_energy == params.v_read ** 2 / params.r_p * params.t_read
         assert cost.bit_period_normal == params.t_reset + t_max + params.t_read

@@ -126,7 +126,7 @@ class TestGenerateStream:
                 assert energy / n == pytest.approx(expected, rel=0.02)
 
     def test_input_validation(self, cost_model):
-        with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got 1.5"):
+        with pytest.raises(ValueError):
             generate_stream(1.5, 8, NORMAL, 0, cost_model)
         with pytest.raises(ValueError):
             generate_stream(0.5, 0, NORMAL, 0, cost_model)
@@ -137,6 +137,8 @@ class TestEnergyPerBit:
     def test_rejects_p_outside_unit_interval(self, cost_model, p):
         with pytest.raises(ValueError, match=rf"p must be in \[0, 1\], got {p}"):
             energy_per_bit(p, BMS, cost_model)
+        with pytest.raises(ValueError, match=rf"p must be in \[0, 1\], got {p}"):
+            generate_stream(p, 8, BMS, 0, cost_model)
 
     def test_bms_symmetry_exact(self, cost_model):
         for p in np.linspace(0.0, 1.0, 101):
