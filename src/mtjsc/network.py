@@ -19,14 +19,19 @@ first n kept (`sng.uniform16`).  A weight or input bit compares its
 uniform with a threshold that quantizes the write probability to 2**-16
 (`sng.write_thresholds`), and a fair bit is u < 2**15.  The layer kernel
 draws whole rows in blocks, which consumes the generator exactly as one
-draw per row would, so outputs depend on this order and not on how the
-draws are batched.
+draw per row would.  It may also split a layer's neurons into contiguous
+parts that run on separate threads: each part draws from a copy of the
+generator advanced to the part's first word, and the caller's generator
+ends where the last part ends.  So outputs depend on this order and not on
+how the draws are batched or on how many parts a layer runs in.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +46,15 @@ from .streams import (
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
 
 # Most 64-bit generator words drawn by one call on the stream path (512 KB),
-# to bound the memory of a draw.  Larger blocks are split by rows, in order,
-# which leaves the bits unchanged.
+# to bound the memory of a draw; each part of a split layer draws its own
+# blocks, so the bound holds per part.  Larger blocks are split by rows, in
+# order, which leaves the bits unchanged.
 DRAW_BLOCK = 1 << 16
+
+# Bit generators whose advance(k) skips exactly k random_raw words, so a
+# copy can start at any word of the stream.  A layer splits its neurons
+# across threads only on these (Philox, for one, advances by blocks).
+_POSITIONABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 # E[x^2] of an input uniform on [-1, 1], used to size the neuron FSM.  The
 # saturating counter behaves as tanh(K * drift / (2 * variance)), and the
@@ -64,15 +75,24 @@ def child_seed(master, *key) -> np.random.Generator:
 class LayerSpec:
     weights: np.ndarray   # shape (fan_in, fan_out), entries in [-1, 1]
     m_scale: float        # scaling factor M >= 1
+    # (kind, n) -> _LayerPlan, filled by `_layer_plan` on first use
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=float)
         if w.ndim != 2:
-            raise ValueError("layer weights must be a 2-D matrix")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("layer weights must be finite")
-        if np.max(np.abs(w), initial=0.0) > 1.0 + 1e-9:
-            raise ValueError("scaled weights must lie in [-1, 1]")
+            raise ValueError(
+                f"layer weights must be a 2-D matrix, got shape {w.shape}")
+        bad = np.argwhere(~np.isfinite(w))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"layer weights must be finite; weight ({i}, {j}) "
+                             f"is {w[i, j]}")
+        if w.size and np.max(np.abs(w)) > 1.0 + 1e-9:
+            i, j = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+            raise ValueError(f"scaled weights must lie in [-1, 1]; max |w| is "
+                             f"{abs(w[i, j])} at ({i}, {j})")
         if not (np.isfinite(self.m_scale) and self.m_scale >= 1.0):
             raise ValueError(
                 f"scaling factor M must be finite and >= 1, got {self.m_scale!r}")
@@ -88,9 +108,11 @@ class NetworkSpec:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a network needs at least one layer")
-        for a, b in zip(self.layers[:-1], self.layers[1:]):
+        for k, (a, b) in enumerate(zip(self.layers[:-1], self.layers[1:])):
             if a.weights.shape[1] != b.weights.shape[0]:
-                raise ValueError("layer dimensions do not chain")
+                raise ValueError(
+                    f"layer dimensions do not chain: layer {k} is "
+                    f"{a.weights.shape} and layer {k + 1} is {b.weights.shape}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -113,7 +135,8 @@ class EvalConfig:
         if self.stream_length is not None and \
                 self.stream_length not in ALLOWED_STREAM_LENGTHS:
             raise ValueError(
-                f"stream_length must be one of {sorted(ALLOWED_STREAM_LENGTHS)}")
+                f"stream_length must be one of {sorted(ALLOWED_STREAM_LENGTHS)}"
+                f", got {self.stream_length!r}")
 
 
 def neuron_forward_float(w: np.ndarray, x: np.ndarray, m_scale: float):
@@ -163,6 +186,110 @@ def _uniform_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
                            for i in range(0, rows, per_block)])
 
 
+class _LayerPlan(NamedTuple):
+    """What the stream kernel reads of one layer for one (kind, n)."""
+
+    thresholds: np.ndarray   # (fan_out, fan_in) uint16, `write_thresholds`
+    flips: np.ndarray        # (fan_out, fan_in) bool
+    base_levels: np.ndarray  # (fan_out, n) int32: weight_sum_offset + fan_in
+    m: int                   # adder bound
+    n_states: np.ndarray     # (fan_out,) FSM state counts
+
+
+def _layer_plan(layer: LayerSpec, kind: SngKind, n: int) -> _LayerPlan:
+    """The layer's plan for (kind, n), built once and kept on the layer.
+
+    Its arrays are read-only, since every later call shares them.
+    """
+    plan = layer._plans.get((kind, n))
+    if plan is not None:
+        return plan
+    # Sums over rows of w.T, not w.sum(axis=0): a column sum can differ in
+    # the last ulp, and that can move a weight_sum_offset level.
+    w_rows = np.ascontiguousarray(layer.weights.T)
+    fan_in = w_rows.shape[1]
+    thresholds, _, flips = write_thresholds((w_rows + 1.0) / 2.0, kind)
+    base_levels = weight_sum_offset(w_rows.sum(axis=1), fan_in, n) + fan_in
+    variance_per_input = (1.0 - np.mean(w_rows * w_rows, axis=1)
+                          * INPUT_SECOND_MOMENT)
+    n_states = np.array([default_tanh_states(fan_in, layer.m_scale * v)
+                         for v in variance_per_input], dtype=np.int64)
+    plan = _LayerPlan(thresholds, flips, base_levels,
+                      fan_in + 2 * ((fan_in + 1) // 2) + 2, n_states)
+    for array in (thresholds, flips, base_levels, n_states):
+        array.setflags(write=False)
+    layer._plans[(kind, n)] = plan
+    return plan
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which caps a layer's part count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None   # (pid, ThreadPoolExecutor), made on the first split
+
+
+def _part_pool():
+    """Worker threads for the parts after the first, one per other CPU.
+
+    Made lazily, so importing the package starts no thread and loads no
+    executor code, and made anew in a forked child, which inherits the pool
+    but not its threads.  The executor starts a thread only when no idle
+    one can take a part.  Concurrent first calls may each make a pool; the
+    threads of the one that is dropped end once it is collected.
+    """
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(),
+                 ThreadPoolExecutor(max(1, _usable_cpus() - 1), "mtjsc-layer"))
+    return _pool[1]
+
+
+def _positioned_copy(bit_generator, words: int) -> np.random.Generator:
+    """A generator on a copy of `bit_generator`, `words` raw words ahead."""
+    copy = type(bit_generator)(0)   # seeded only to be overwritten
+    copy.state = bit_generator.state
+    copy.advance(words)
+    return np.random.Generator(copy)
+
+
+def _part_levels(plan: _LayerPlan, x_bits: np.ndarray,
+                 rng: np.random.Generator, lo: int, hi: int,
+                 block: int) -> np.ndarray:
+    """Adder levels of neurons lo..hi-1, shape (hi - lo, n).
+
+    Draws `block` neurons at a time: their weight rows and two fair rows
+    each, neuron by neuron, in one `_uniform_rows` call, then one compare,
+    two XORs and one column sum over the whole (block, fan_in, n) array.
+    """
+    fan_in, n = x_bits.shape
+    levels = np.empty((hi - lo, n), dtype=np.int32)
+    shape = (min(block, hi - lo), fan_in, n)
+    below = np.empty(shape, dtype=bool)
+    key = np.empty(shape, dtype=bool)
+    count = np.uint16 if fan_in < 1 << 16 else np.int64
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        k = stop - start
+        u = _uniform_rows(rng, k * (fan_in + 2), n).reshape(k, fan_in + 2, n)
+        np.less(u[:, :fan_in], plan.thresholds[start:stop, :, None],
+                out=below[:k])
+        np.bitwise_xor(plan.flips[start:stop, :, None], x_bits, out=key[:k])
+        np.bitwise_xor(below[:k], key[:k], out=below[:k])
+        mismatches = below[:k].view(np.uint8).sum(axis=1, dtype=count)
+        # a pair of independent fair bits (bipolar value 0) keeps the
+        # counter moving when every input stream happens to be deterministic
+        fair = (u[:, fan_in:] < FAIR_THRESHOLD).sum(axis=1, dtype=np.int32)
+        np.subtract(plan.base_levels[start:stop] + fair, mismatches,
+                    out=levels[start - lo:stop - lo])
+    return levels
+
+
 def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
                       rng: np.random.Generator) -> np.ndarray:
     """Stream-domain layer: XNOR products, adder tree, FSM squashing.
@@ -170,50 +297,61 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
     x_bits holds one bipolar input stream per row, shape (fan_in, n); the
     result holds one output stream per neuron, shape (fan_out, n).  Fresh
     weight streams are drawn neuron by neuron, without energy bookkeeping:
-    one word draw per neuron covers its weight rows and its two fair rows.
+    each neuron consumes the words of its weight rows and its two fair rows.
     A weight bit is (u < threshold) ^ flip (`sng.write_thresholds`), so its
     XNOR with the input bit mismatches where (u < threshold) differs from
     flip ^ x; the adder counts fan_in minus the mismatches, plus the fair
     bits.  The adder tree carries w.x; the +sum(w) half is a design-time
     constant and enters the tree as the deterministic `weight_sum_offset`.
     Its FSM's state count is M * sum_i(1 - w_i^2 E[x^2]), the adder's
-    per-cycle variance times the layer gain.
+    per-cycle variance times the layer gain.  These layer constants come
+    from a plan kept on the layer per (kind, n).
+
+    The neurons are drawn in blocks of DRAW_BLOCK words.  On a PCG64 or
+    PCG64DXSM generator, a layer of several blocks is split into one
+    contiguous range of neurons per usable CPU: the first range runs on
+    the calling thread with `rng`, each other on a worker thread with a
+    copy of the generator advanced to the range's first word.  `rng` then
+    takes the last copy's position, with any buffered 32-bit half kept,
+    and one FSM pass squashes every row.  The bits do not depend on the
+    split.
     """
+    x_bits = np.asarray(x_bits)
+    if x_bits.ndim != 2:
+        raise ValueError(f"x_bits must be a (fan_in, n) matrix of input "
+                         f"streams, got shape {x_bits.shape}")
     n_inputs, n = x_bits.shape
-    if n_inputs != layer.weights.shape[0]:
+    fan_in, fan_out = layer.weights.shape
+    if n_inputs != fan_in:
         raise ValueError(f"{n_inputs} input streams for a layer of fan-in "
-                         f"{layer.weights.shape[0]}")
-    # Sums over rows of w.T, not w.sum(axis=0): a column sum can differ in
-    # the last ulp, and that can move a weight_sum_offset level.
-    w_rows = np.ascontiguousarray(layer.weights.T)
-    thresholds, _, flips = write_thresholds((w_rows + 1.0) / 2.0, kind)
-    thresholds = thresholds[..., None]
-    flips = flips[..., None]
+                         f"{fan_in}")
+    plan = _layer_plan(layer, kind, n)
     x_bits = x_bits.astype(bool)
-    fan_out = w_rows.shape[0]
-    below = np.empty((n_inputs, n), dtype=bool)
-    key = np.empty_like(below)
-    mismatches = np.empty((fan_out, n),
-                          dtype=np.uint16 if n_inputs < 1 << 16 else np.int64)
-    fair_u = np.empty((fan_out, 2, n), dtype=np.uint16)
-    for j in range(fan_out):
-        u = _uniform_rows(rng, n_inputs + 2, n)
-        np.less(u[:n_inputs], thresholds[j], out=below)
-        np.bitwise_xor(flips[j], x_bits, out=key)
-        np.bitwise_xor(below, key, out=below)
-        below.view(np.uint8).sum(axis=0, out=mismatches[j])
-        fair_u[j] = u[n_inputs:]
-    # a pair of independent fair bits (bipolar value 0) keeps the counter
-    # moving when every input stream happens to be deterministic
-    fair = (fair_u < FAIR_THRESHOLD).sum(axis=1, dtype=np.int32)
-    levels = (weight_sum_offset(w_rows.sum(axis=1), n_inputs, n) + n_inputs
-              + fair - mismatches)
-    m = n_inputs + 2 * ((n_inputs + 1) // 2) + 2
-    variance_per_input = (1.0 - np.mean(w_rows * w_rows, axis=1)
-                          * INPUT_SECOND_MOMENT)
-    n_states = [default_tanh_states(n_inputs, layer.m_scale * v)
-                for v in variance_per_input]
-    return fsm_tanh_rows(2 * levels - m, n_states)
+    words = (fan_in + 2) * -(-n // 4)
+    block = max(1, DRAW_BLOCK // words)
+    parts = 1
+    if type(rng.bit_generator) in _POSITIONABLE:
+        parts = max(1, min(_usable_cpus(), -(-fan_out // block)))
+    bounds = [fan_out * p // parts for p in range(parts + 1)]
+    copies = [_positioned_copy(rng.bit_generator, start * words)
+              for start in bounds[1:-1]]
+    futures = [_part_pool().submit(_part_levels, plan, x_bits, g, lo, hi,
+                                   block)
+               for g, lo, hi in zip(copies, bounds[1:-1], bounds[2:])]
+    try:
+        levels = [_part_levels(plan, x_bits, rng, bounds[0], bounds[1], block)]
+    finally:
+        for future in futures:   # join every part; errors are raised below
+            future.exception()
+        if copies:
+            # The LCG state alone: advance() on `rng` would also drop a
+            # buffered 32-bit half.
+            state = rng.bit_generator.state
+            state["state"] = copies[-1].bit_generator.state["state"]
+            rng.bit_generator.state = state
+    levels += [f.result() for f in futures]
+    steps = 2 * np.concatenate(levels) - plan.m
+    return fsm_tanh_rows(steps, plan.n_states)
 
 
 def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
@@ -299,11 +437,20 @@ def network_to_dict(net: NetworkSpec) -> dict:
 
 def network_from_dict(doc: dict) -> NetworkSpec:
     dims = doc["dims"]
+    specs = doc["layers"]
+    if len(dims) != len(specs) + 1:
+        raise ValueError(f"dims {dims} describe {len(dims) - 1} layers, but "
+                         f"the document has {len(specs)}")
     layers = []
-    for k, spec in enumerate(doc["layers"]):
+    for k, spec in enumerate(specs):
         shape = (dims[k], dims[k + 1])
-        weights = np.array(spec["weights"], dtype=float).reshape(shape)
-        layers.append(LayerSpec(weights, float(spec["M"])))
+        weights = np.array(spec["weights"], dtype=float)
+        if weights.size != shape[0] * shape[1]:
+            raise ValueError(
+                f"layer {k} of {len(specs)} has {weights.size} weights; "
+                f"dims {dims} need {shape[0]} x {shape[1]} = "
+                f"{shape[0] * shape[1]}")
+        layers.append(LayerSpec(weights.reshape(shape), float(spec["M"])))
     scaling = None
     if "feature_scaling" in doc:
         scaling = (np.array(doc["feature_scaling"]["lo"], dtype=float),

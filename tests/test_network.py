@@ -1,6 +1,11 @@
 """Tests for float and stream-domain network evaluation."""
 
+import gc
 import math
+import multiprocessing
+import queue
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from mtjsc.network import (
     load_network,
     network_forward,
     network_forward_float,
+    network_from_dict,
     neuron_forward_float,
     neuron_forward_isc,
     save_network,
@@ -200,21 +206,150 @@ class TestLayerKernel:
         return NetworkSpec((LayerSpec(rng.uniform(-1, 1, (9, 5)), 2.5),
                             LayerSpec(rng.uniform(-1, 1, (5, 3)), 1.5)))
 
+    def split_kernel(self, monkeypatch, parts):
+        """Run layers in `parts` parts where they have that many blocks:
+        at DRAW_BLOCK = 2 * 11 * 32 words, two of small_net's first-layer
+        neurons (11 rows of 32 words at n = 128) share a block."""
+        monkeypatch.setattr(network, "_usable_cpus", lambda: parts)
+        monkeypatch.setattr(network, "DRAW_BLOCK", 2 * 11 * 32)
+
+    def layer_inputs(self):
+        return np.stack([bip_stream(0.2 * i - 0.8, 128, 60 + i).bits
+                         for i in range(9)])
+
     @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
     # None keeps every draw in one block; 1 draws one row per block, and
     # 3 * 32 words (three rows at n = 128) splits the 9 input rows evenly
-    # and each neuron's 11 or 7 rows unevenly
-    @pytest.mark.parametrize("draw_block", [None, 1, 3 * 32])
+    # and each neuron's 11 or 7 rows unevenly; 2 * 11 * 32 puts two of the
+    # first layer's neurons and three of the second's in one block
+    @pytest.mark.parametrize("draw_block", [None, 1, 3 * 32, 2 * 11 * 32])
     def test_matches_per_input_reference(self, kind, draw_block, monkeypatch):
         if draw_block is not None:
             monkeypatch.setattr(network, "DRAW_BLOCK", draw_block)
         net = self.small_net()
-        rng = np.random.default_rng(7)
-        for trial in range(4):
-            x = rng.uniform(-1.2, 1.2, 9)
-            cfg = EvalConfig(stream_length=128, seed=trial, sng_kind=kind)
-            out = network_forward(net, x, cfg, sample_key=(trial,))
-            assert np.array_equal(out, reference_forward(net, x, cfg, (trial,)))
+        # each part count on every draw block; a count above a layer's
+        # block count runs one part per block
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(network, "_usable_cpus", lambda: parts)
+            rng = np.random.default_rng(7)
+            for trial in range(4):
+                x = rng.uniform(-1.2, 1.2, 9)
+                cfg = EvalConfig(stream_length=128, seed=trial, sng_kind=kind)
+                out = network_forward(net, x, cfg, sample_key=(trial,))
+                assert np.array_equal(
+                    out, reference_forward(net, x, cfg, (trial,))), parts
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_caller_generator_ends_after_the_layer(self, parts, monkeypatch):
+        """The caller's generator ends where serial draws end, and keeps
+        the 32-bit half that a float32 draw buffered."""
+        self.split_kernel(monkeypatch, parts)
+        layer = self.small_net().layers[0]
+        x_bits = self.layer_inputs()
+        rng, ref = child_seed(4), child_seed(4)
+        assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        out = layer_forward_isc(layer, x_bits, SngKind.BMS, rng)
+        expect = [reference_neuron(layer.weights[:, j], x_bits, layer.m_scale,
+                                   SngKind.BMS, ref) for j in range(5)]
+        assert np.array_equal(out, np.stack(expect))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+    def test_failed_part_still_positions_the_caller(self, monkeypatch):
+        """An error in one part surfaces after every part has joined, with
+        the caller's generator where the serial draws end."""
+        self.split_kernel(monkeypatch, 2)
+        layer = self.small_net().layers[0]
+        x_bits = self.layer_inputs()
+        part_levels = network._part_levels
+
+        def first_part_fails(plan, bits, rng, lo, hi, block):
+            levels = part_levels(plan, bits, rng, lo, hi, block)
+            if lo == 0:
+                raise RuntimeError("first part failed")
+            return levels
+
+        monkeypatch.setattr(network, "_part_levels", first_part_fails)
+        rng, ref = child_seed(4), child_seed(4)
+        with pytest.raises(RuntimeError, match="first part failed"):
+            layer_forward_isc(layer, x_bits, SngKind.BMS, rng)
+        for j in range(5):
+            reference_neuron(layer.weights[:, j], x_bits, layer.m_scale,
+                             SngKind.BMS, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    # PCG64DXSM splits like PCG64; the others run in one part
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64,
+        np.random.Philox], ids=lambda cls: cls.__name__)
+    def test_other_bit_generators_match_reference(self, bit_generator,
+                                                  monkeypatch):
+        self.split_kernel(monkeypatch, 2)
+        layer = self.small_net().layers[0]
+        x_bits = self.layer_inputs()
+        rng = np.random.Generator(bit_generator(9))
+        ref = np.random.Generator(bit_generator(9))
+        out = layer_forward_isc(layer, x_bits, SngKind.NORMAL, rng)
+        expect = [reference_neuron(layer.weights[:, j], x_bits, layer.m_scale,
+                                   SngKind.NORMAL, ref) for j in range(5)]
+        assert np.array_equal(out, np.stack(expect))
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+    def test_plans_stay_with_their_layer(self, monkeypatch):
+        """Layers built and freed in a loop each get their own plan, and no
+        plan keeps its layer alive."""
+        self.split_kernel(monkeypatch, 2)
+        x_bits = self.layer_inputs()
+        weights = np.random.default_rng(10).uniform(-1, 1, (6, 9, 5))
+        refs = []
+        for trial, w in enumerate(weights):
+            layer = LayerSpec(w, 1.5)
+            out = layer_forward_isc(layer, x_bits, SngKind.BMS,
+                                    child_seed(trial))
+            ref_rng = child_seed(trial)
+            expect = [reference_neuron(w[:, j], x_bits, 1.5, SngKind.BMS,
+                                       ref_rng) for j in range(5)]
+            assert np.array_equal(out, np.stack(expect))
+            assert list(layer._plans) == [(SngKind.BMS, 128)]
+            refs.append(weakref.ref(layer))
+            del layer
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_after_the_pool_ran(self, monkeypatch):
+        """A child forked after the worker threads ran gets its own."""
+        self.split_kernel(monkeypatch, 2)
+        net = self.small_net()
+        x = np.linspace(-0.9, 0.9, 9)
+        cfg = EvalConfig(stream_length=128, seed=5)
+        expect = network_forward(net, x, cfg, sample_key=(0,))
+        assert any(t.name.startswith("mtjsc-layer")
+                   for t in threading.enumerate())
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(
+            network_forward(net, x, cfg, sample_key=(0,))))
+        child.start()
+        try:
+            out = results.get(timeout=60)
+        except queue.Empty:
+            pytest.fail("the forked child returned nothing within 60 s")
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert np.array_equal(out, expect)
+
+    def test_one_dimensional_inputs_named(self):
+        layer = LayerSpec(np.zeros((3, 2)), 1.0)
+        with pytest.raises(ValueError, match=r"got shape \(128,\)"):
+            layer_forward_isc(layer, np.zeros(128, dtype=np.uint8),
+                              SngKind.BMS, child_seed(0))
 
     def test_fan_in_mismatch(self):
         layer = LayerSpec(np.zeros((3, 2)), 1.0)
@@ -386,3 +521,41 @@ class TestPersistence:
         with pytest.raises(ValueError):
             EvalConfig(stream_length=100)
         EvalConfig(stream_length=512)
+
+    def test_eval_config_names_the_length(self):
+        with pytest.raises(ValueError, match="got 300"):
+            EvalConfig(stream_length=300)
+
+    def test_layer_messages_name_the_value(self):
+        with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+            LayerSpec(np.zeros(3), 1.0)
+        w = np.zeros((2, 3))
+        w[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"weight \(1, 0\) is nan"):
+            LayerSpec(w, 1.0)
+        w[1, 0], w[0, 2] = -1.25, 1.5
+        with pytest.raises(ValueError, match=r"max \|w\| is 1.5 at \(0, 2\)"):
+            LayerSpec(w, 1.0)
+
+    def test_chain_message_names_the_shapes(self):
+        with pytest.raises(ValueError, match=r"layer 0 is \(3, 2\) and "
+                                             r"layer 1 is \(4, 1\)"):
+            NetworkSpec((LayerSpec(np.zeros((3, 2)), 1.0),
+                         LayerSpec(np.zeros((4, 1)), 1.0)))
+
+    def test_dims_must_match_the_layer_count(self):
+        doc = {"dims": [3, 2, 5], "layers": [{"M": 1.0, "weights": [0.0] * 6}]}
+        with pytest.raises(ValueError, match=r"dims \[3, 2, 5\] describe 2 "
+                                             "layers, but the document has 1"):
+            network_from_dict(doc)
+
+    def test_weight_count_must_match_dims(self):
+        doc = {"dims": [3, 2, 1],
+               "layers": [{"M": 1.0, "weights": [0.0] * 6},
+                          {"M": 1.0, "weights": [0.0] * 3}]}
+        with pytest.raises(ValueError, match=r"layer 1 of 2 has 3 weights; "
+                                             r"dims \[3, 2, 1\] need "
+                                             r"2 x 1 = 2"):
+            network_from_dict(doc)
+        doc["layers"][1]["weights"] = [0.5, -0.5]
+        assert network_from_dict(doc).dims == (3, 2, 1)
