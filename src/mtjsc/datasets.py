@@ -142,9 +142,14 @@ def load_csv_dataset(path, schema: CsvSchema) -> Dataset:
             label_idx = header.index(label_idx)
     elif isinstance(label_idx, str):
         raise DataError("named label column requires a header row")
+    column = (f"{schema.label_column!r} (index {label_idx})"
+              if isinstance(schema.label_column, str) else str(label_idx))
     labels = []
     for ln_no, line in enumerate(lines[start:], start + 1):
         cells = [c.strip().strip('"') for c in line.split(schema.delimiter)]
+        if not -len(cells) <= label_idx < len(cells):
+            raise DataError(f"{path}:{ln_no}: {len(cells)} cells, too few for "
+                            f"label column {column}")
         raw_label = cells[label_idx]
         del cells[label_idx if label_idx >= 0 else len(cells) + label_idx]
         try:

@@ -113,6 +113,23 @@ class NetworkSpec:
                 raise ValueError(
                     f"layer dimensions do not chain: layer {k} is "
                     f"{a.weights.shape} and layer {k + 1} is {b.weights.shape}")
+        if self.feature_scaling is not None:
+            scaling = tuple(self.feature_scaling)
+            if len(scaling) != 2:
+                raise ValueError(f"feature_scaling must be a (lo, hi) pair, "
+                                 f"got {len(scaling)} arrays")
+            lo, hi = (np.asarray(v, dtype=float) for v in scaling)
+            want = self.dims[:1]
+            if lo.shape != want or hi.shape != want:
+                raise ValueError(
+                    f"feature_scaling lo and hi must each have shape {want}; "
+                    f"got {lo.shape} and {hi.shape}")
+            for name, v in (("lo", lo), ("hi", hi)):
+                bad = np.flatnonzero(~np.isfinite(v))
+                if bad.size:
+                    raise ValueError(f"feature_scaling must be finite; "
+                                     f"{name}[{bad[0]}] is {v[bad[0]]}")
+            object.__setattr__(self, "feature_scaling", (lo, hi))
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -197,6 +197,33 @@ def default_tanh_states(m: int, gain: float = 2.0) -> int:
     return max(2, k)
 
 
+def _compose_prefixes(maps: np.ndarray, spare: np.ndarray):
+    """Compose every prefix of a run of clamp maps, along axis 1.
+
+    maps stacks the offsets a, lower bounds lo and upper bounds hi of K
+    maps as maps[0], maps[1] and maps[2], each (K, width); map k of the
+    result is maps 0, 1, ..., k applied in that order.  A doubling scan:
+    the pass of shift s composes map k - s, then map k, for every k >= s,
+    reading one buffer and writing the other, so no pass reads what it
+    writes.  Maps below s are final in the buffer read; those below s // 2
+    are final in the buffer written too (it holds the input, or the result
+    of the pass before last), so only [s // 2, s) is copied across.  Every
+    slice along axis 1 of a contiguous (3, K, width) array is one
+    contiguous block per plane.  Returns (result, the other buffer).
+    """
+    s = 1
+    while s < maps.shape[1]:
+        # a1 + a2, lo1 + a2, hi1 + a2 in one call, then clamp both bounds
+        # to [lo2, hi2]: (a1, lo1, hi1) then (a2, lo2, hi2)
+        np.add(maps[:, :-s], maps[0, s:], out=spare[:, s:])
+        np.maximum(spare[1:, s:], maps[1, s:], out=spare[1:, s:])
+        np.minimum(spare[1:, s:], maps[2, s:], out=spare[1:, s:])
+        spare[:, s // 2:s] = maps[:, s // 2:s]
+        maps, spare = spare, maps
+        s *= 2
+    return maps, spare
+
+
 def fsm_tanh_rows(steps: np.ndarray, n_states) -> np.ndarray:
     """Output bits of one saturating counter per row of signed steps.
 
@@ -207,39 +234,68 @@ def fsm_tanh_rows(steps: np.ndarray, n_states) -> np.ndarray:
 
     Each cycle applies the clamp map x -> min(max(x + a, lo), hi).  These
     maps are closed under composition (a1 then a2 gives a = a1 + a2,
-    lo = clip(lo1 + a2, lo2, hi2), hi = clip(hi1 + a2, lo2, hi2)), so a
-    doubling scan over log2(n) steps composes every prefix at once, in
-    exact integer arithmetic, and gives the states of the cycle-by-cycle
-    counter for all rows together.
+    lo = clip(lo1 + a2, lo2, hi2), hi = clip(hi1 + a2, lo2, hi2)), so a scan
+    composes every prefix at once, in exact integer arithmetic, and gives
+    the states of the cycle-by-cycle counter for all rows together.  The
+    states are counted from n_states // 2, so every row starts at 0 and
+    outputs 1 while its state is >= 0.
+
+    The scan has two levels.  Zero steps, each the identity on the state
+    range, pad the front of the n cycles to C chunks of L = 2**ceil(log2(n)
+    / 2) cycles.  The maps are laid out cycle-major, as (L, C * rows) per
+    plane, with row r of chunk c in column c * rows + r, so one doubling
+    scan of log2(L) passes composes the prefixes within every chunk, each
+    pass a few whole-array ufunc calls.  The same scan over the C chunk
+    totals gives each chunk's start state, and a last pass applies each
+    within-chunk prefix to its chunk's start state.
     """
     steps = np.asarray(steps)
     if steps.ndim != 2 or steps.dtype.kind != "i":
         raise ValueError("steps must be a (rows, cycles) signed integer matrix")
-    n_states = np.broadcast_to(np.asarray(n_states, dtype=np.int64),
-                               steps.shape[:1])
+    rows, n = steps.shape
+    n_states = np.broadcast_to(np.asarray(n_states, dtype=np.int64), (rows,))
     if np.any(n_states < 2) or np.any(n_states % 2 != 0):
         raise ValueError(f"n_states must be even and >= 2, got {n_states}")
+    if rows == 0 or n == 0:
+        return np.zeros((rows, n), dtype=np.uint8)
     # Every value below is at most n * max|step| + n_states in magnitude;
     # int32 holds that for the network's streams and halves the traffic.
-    bound = (steps.shape[1] * int(np.abs(steps).max(initial=0))
-             + int(n_states.max(initial=0)))
+    # Not narrower: after a step that alone saturates the counter, the
+    # composed maps can keep lo < hi while their offset grows towards
+    # n * max|step|, and a wrapped offset would move the state.
+    bound = (n * max(-int(steps.min()), int(steps.max()))
+             + int(n_states.max()))
     dtype = np.int32 if bound < 2**31 else np.int64
-    top = (n_states[:, None] - 1).astype(dtype)
-    half = (n_states[:, None] // 2).astype(dtype)
-    a = steps.astype(dtype)
-    lo = np.zeros_like(a)
-    hi = np.broadcast_to(top, a.shape).copy()
-    s = 1
-    while s < a.shape[1]:
-        a2, lo2, hi2 = a[:, s:], lo[:, s:], hi[:, s:]
-        new_lo = np.minimum(np.maximum(lo[:, :-s] + a2, lo2), hi2)
-        new_hi = np.minimum(np.maximum(hi[:, :-s] + a2, lo2), hi2)
-        a[:, s:] = a[:, :-s] + a2
-        lo[:, s:] = new_lo
-        hi[:, s:] = new_hi
-        s *= 2
-    state = np.minimum(np.maximum(half + a, lo), hi)
-    return (state >= half).astype(np.uint8)
+    span = 1 << (((n - 1).bit_length() + 1) // 2)
+    chunks = -(-n // span)
+    pad = chunks * span - n
+    if pad:
+        steps = np.concatenate([np.zeros((rows, pad), dtype), steps], axis=1)
+    width = chunks * rows
+    maps = np.empty((3, span, width), dtype)
+    spare = np.empty_like(maps)
+    np.copyto(maps[0].reshape(span, chunks, rows).transpose(2, 1, 0),
+              steps.reshape(rows, chunks, span), casting="unsafe")
+    half = (n_states // 2).astype(dtype)
+    bounds = np.empty((2, chunks, rows), dtype)
+    bounds[0] = -half
+    bounds[1] = half - 1
+    maps[1:] = bounds.reshape(2, 1, width)
+    maps, spare = _compose_prefixes(maps, spare)
+    totals = maps[:, -1].reshape(3, chunks, rows).copy()
+    totals, _ = _compose_prefixes(totals, np.empty_like(totals))
+    # chunk c starts where the prefix of chunks 0..c-1 takes state 0
+    start = np.zeros((chunks, rows), dtype)
+    np.maximum(totals[0, :-1], totals[1, :-1], out=start[1:])
+    np.minimum(start[1:], totals[2, :-1], out=start[1:])
+    state = spare[0]
+    np.add(maps[0], start.reshape(width), out=state)
+    np.maximum(state, maps[1], out=state)
+    np.minimum(state, maps[2], out=state)
+    out = np.empty((rows, chunks * span), dtype=np.uint8)
+    np.greater_equal(state.reshape(span, chunks, rows), 0,
+                     out=out.reshape(rows, chunks, span).transpose(2, 1, 0))
+    return out[:, pad:].copy() if pad else out
 
 
 def fsm_tanh(a: IntegralStream, n_states: int) -> StochasticStream:

@@ -13,6 +13,7 @@ from mtjsc.datasets import (
     IDX_LABELS_MAGIC,
     SONAR_SCHEMA,
     WINE_SCHEMA,
+    CsvSchema,
     DataError,
     Dataset,
     apply_scaling,
@@ -121,6 +122,24 @@ class TestCsv:
         path = write_text(tmp_path, "sonar.csv", "0.1,0.2,R\n0.3,abc,M\n")
         with pytest.raises(DataError, match=":2: unparsable cell"):
             load_csv_dataset(path, SONAR_SCHEMA)
+
+    def test_row_too_short_for_named_label(self, tmp_path):
+        path = write_text(tmp_path, "wine.csv",
+                          '"fixed acidity";"quality";"alcohol"\n'
+                          "7.4;5;9.4\n"
+                          "2\n")
+        with pytest.raises(DataError, match=r"wine.csv:3: 1 cells, too few "
+                                            r"for label column 'quality' "
+                                            r"\(index 1\)"):
+            load_csv_dataset(path, WINE_SCHEMA)
+
+    @pytest.mark.parametrize("column", [2, -3])
+    def test_row_too_short_for_label_index(self, tmp_path, column):
+        path = write_text(tmp_path, "t.csv", "0.1,0.2,1\n0.3,1\n")
+        schema = CsvSchema(label_column=column, n_classes=2)
+        with pytest.raises(DataError, match=rf"t.csv:2: 2 cells, too few for "
+                                            rf"label column {column}$"):
+            load_csv_dataset(path, schema)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty file"):

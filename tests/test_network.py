@@ -543,6 +543,30 @@ class TestPersistence:
             NetworkSpec((LayerSpec(np.zeros((3, 2)), 1.0),
                          LayerSpec(np.zeros((4, 1)), 1.0)))
 
+    def test_feature_scaling_shapes_must_match_the_inputs(self):
+        doc = {"dims": [2, 1], "layers": [{"M": 1.0, "weights": [0.5, -0.5]}],
+               "feature_scaling": {"lo": [0.0, 1.0, 2.0], "hi": [3.0, 4.0]}}
+        with pytest.raises(ValueError, match=r"shape \(2,\); got \(3,\) and "
+                                             r"\(2,\)"):
+            network_from_dict(doc)
+        doc["feature_scaling"]["hi"] = [[3.0, 4.0]]
+        doc["feature_scaling"]["lo"] = [0.0, 1.0]
+        with pytest.raises(ValueError, match=r"shape \(2,\); got \(2,\) and "
+                                             r"\(1, 2\)"):
+            network_from_dict(doc)
+        with pytest.raises(ValueError, match=r"a \(lo, hi\) pair, got 1"):
+            NetworkSpec((LayerSpec(np.zeros((2, 1)), 1.0),),
+                        feature_scaling=(np.zeros(2),))
+
+    def test_feature_scaling_must_be_finite(self):
+        doc = {"dims": [2, 1], "layers": [{"M": 1.0, "weights": [0.5, -0.5]}],
+               "feature_scaling": {"lo": [0.0, 1.0], "hi": [3.0, float("nan")]}}
+        with pytest.raises(ValueError, match=r"hi\[1\] is nan"):
+            network_from_dict(doc)
+        doc["feature_scaling"]["lo"] = [float("-inf"), 1.0]
+        with pytest.raises(ValueError, match=r"lo\[0\] is -inf"):
+            network_from_dict(doc)
+
     def test_dims_must_match_the_layer_count(self):
         doc = {"dims": [3, 2, 5], "layers": [{"M": 1.0, "weights": [0.0] * 6}]}
         with pytest.raises(ValueError, match=r"dims \[3, 2, 5\] describe 2 "

@@ -260,19 +260,26 @@ class TestFsmScan:
 
     def check(self, steps, n_states):
         steps = np.asarray(steps)
+        before = steps.copy()
         n_states = np.broadcast_to(n_states, steps.shape[:1])
         out = fsm_tanh_rows(steps, n_states)
         assert out.shape == steps.shape and out.dtype == np.uint8
+        assert np.array_equal(steps, before)   # the caller's steps are kept
         for row, k, bits in zip(steps, n_states, out):
             assert bits.tolist() == fsm_reference(row, int(k))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257, 1024])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 255, 256, 257, 1024,
+                                   16384])
     def test_random_levels(self, n):
         rng = np.random.default_rng(n)
         for m in (1, 4, 25):
             levels = rng.integers(0, m + 1, (6, n))
             for k in (2, 4, 10, 2 * m + 2):
                 self.check(2 * levels - m, k)
+
+    def test_no_rows(self):
+        self.check(np.zeros((0, 300), dtype=np.int32), 4)
+        self.check(np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=int))
 
     def test_two_states(self):
         rng = np.random.default_rng(1)
@@ -283,6 +290,10 @@ class TestFsmScan:
         self.check(rng.integers(-40, 41, (4, 200)), 6)
         # steps this large leave the int32 range of the scan's prefix sums
         self.check(rng.integers(-2**40, 2**40, (3, 100)), 8)
+        # Every step fits int16, but after the first step, which is constant
+        # on the state range, the composed maps keep lo < hi while their
+        # offset passes 2**15, so a 16-bit scan would misplace the state.
+        self.check(np.array([[32000] + [1] * 800]), 6000)
 
     def test_saturating_inputs(self):
         up = np.full((2, 100), 3)
