@@ -17,19 +17,25 @@ fair-bit rows.  Each row of n cycles consumes ceil(n/4) raw 64-bit words
 of `rng.bit_generator.random_raw`, read as little-endian uint16 with the
 first n kept (`sng.uniform16`).  A weight or input bit compares its
 uniform with a threshold that quantizes the write probability to 2**-16
-(`sng.write_thresholds`), and a fair bit is u < 2**15.  The layer kernel
-draws whole rows in blocks, which consumes the generator exactly as one
-draw per row would.  It may also split a layer's neurons into contiguous
-parts that run on separate threads: each part draws from a copy of the
-generator advanced to the part's first word, and the caller's generator
-ends where the last part ends.  So outputs depend on this order and not on
-how the draws are batched or on how many parts a layer runs in.
+(`sng.write_thresholds`), and a fair bit is u < 2**15.  The kernel draws
+whole rows in blocks of neurons, which consumes the generator exactly as
+one draw per row would, so each block has its own fixed words of the
+sample.  On a PCG64 or PCG64DXSM generator, helper threads claim blocks
+with the caller from one counter per layer, each drawing from a copy of the
+generator advanced to the block's first word.  A thread that finds a
+layer's blocks all claimed draws a block of the next layer while the
+others finish theirs and the caller squashes this one; the block's inputs
+are added once the caller publishes them.  The caller's generator ends
+after the sample's last word.  So outputs depend on this order and not on
+how the draws are batched, on how many threads run, or on which thread
+drew which block.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,14 +52,14 @@ from .streams import (
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
 
 # Most 64-bit generator words drawn by one call on the stream path (512 KB),
-# to bound the memory of a draw; each part of a split layer draws its own
-# blocks, so the bound holds per part.  Larger blocks are split by rows, in
-# order, which leaves the bits unchanged.
+# to bound the memory of a draw; each thread holds one block at a time, so
+# the bound holds per thread.  Larger blocks are split by rows, in order,
+# which leaves the bits unchanged.
 DRAW_BLOCK = 1 << 16
 
 # Bit generators whose advance(k) skips exactly k random_raw words, so a
-# copy can start at any word of the stream.  A layer splits its neurons
-# across threads only on these (Philox, for one, advances by blocks).
+# copy can start at any word of the stream.  Helper threads share a call's
+# blocks only on these (Philox, for one, advances by blocks).
 _POSITIONABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 # E[x^2] of an input uniform on [-1, 1], used to size the neuron FSM.  The
@@ -154,6 +160,15 @@ class EvalConfig:
             raise ValueError(
                 f"stream_length must be one of {sorted(ALLOWED_STREAM_LENGTHS)}"
                 f", got {self.stream_length!r}")
+        if not _is_seed(self.seed):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_seed(value) -> bool:
+    """Whether `value` is a non-negative integer, as `SeedSequence` takes."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 0)
 
 
 def neuron_forward_float(w: np.ndarray, x: np.ndarray, m_scale: float):
@@ -240,23 +255,23 @@ def _layer_plan(layer: LayerSpec, kind: SngKind, n: int) -> _LayerPlan:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, which caps a layer's part count."""
+    """CPUs this process may run on, which caps a call's thread count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-_pool = None   # (pid, ThreadPoolExecutor), made on the first split
+_pool = None   # (pid, ThreadPoolExecutor), made on the first threaded call
 
 
-def _part_pool():
-    """Worker threads for the parts after the first, one per other CPU.
+def _helper_pool():
+    """Helper threads of the stream kernel, one per other CPU.
 
     Made lazily, so importing the package starts no thread and loads no
     executor code, and made anew in a forked child, which inherits the pool
     but not its threads.  The executor starts a thread only when no idle
-    one can take a part.  Concurrent first calls may each make a pool; the
+    one can take a task.  Concurrent first calls may each make a pool; the
     threads of the one that is dropped end once it is collected.
     """
     global _pool
@@ -267,108 +282,321 @@ def _part_pool():
     return _pool[1]
 
 
-def _positioned_copy(bit_generator, words: int) -> np.random.Generator:
-    """A generator on a copy of `bit_generator`, `words` raw words ahead."""
-    copy = type(bit_generator)(0)   # seeded only to be overwritten
-    copy.state = bit_generator.state
+def _positioned_copy(bit_generator_type, state: dict,
+                     words: int) -> np.random.Generator:
+    """A generator on a new bit generator in `state`, `words` words ahead."""
+    copy = bit_generator_type(0)   # seeded only to be overwritten
+    copy.state = state
     copy.advance(words)
     return np.random.Generator(copy)
 
 
-def _part_levels(plan: _LayerPlan, x_bits: np.ndarray,
-                 rng: np.random.Generator, lo: int, hi: int,
-                 block: int) -> np.ndarray:
-    """Adder levels of neurons lo..hi-1, shape (hi - lo, n).
+class _Blocks(NamedTuple):
+    """Where one layer's neuron blocks lie in the words of a call."""
 
-    Draws `block` neurons at a time: their weight rows and two fair rows
-    each, neuron by neuron, in one `_uniform_rows` call, then one compare,
-    two XORs and one column sum over the whole (block, fan_in, n) array.
+    first: int   # word of the call at which the layer's first neuron starts
+    words: int   # words per neuron: its weight rows and its two fair rows
+    size: int    # neurons per block
+    count: int   # blocks in the layer
+    fan_out: int
+
+    def span(self, i: int) -> tuple[int, int, int, int]:
+        """Neurons lo..hi-1 of block i, and its first and end word."""
+        lo = i * self.size
+        hi = min(lo + self.size, self.fan_out)
+        return lo, hi, self.first + lo * self.words, self.first + hi * self.words
+
+
+class _Run:
+    """One call's stream layers, whose neuron blocks the caller and any
+    helper threads claim from one counter per layer.
+
+    Block i of a layer holds `size` neurons and draws from its own fixed
+    words of the call (`_Blocks.span`), so its bits do not depend on which
+    thread runs it, or when.  Stage A (`draw`) reads only the generator;
+    stage B (`add`) also reads the layer's input bits, which the caller
+    publishes and signals with `ready`.  A helper that drew a block before
+    then parks it, and the caller adds every parked block as it publishes,
+    so no block waits for its helper to wake.  `done` signals that every
+    block of the layer has written its levels.  An error in any thread is
+    kept, every signal is set, so that every wait ends, and no later claim
+    is granted.
     """
-    fan_in, n = x_bits.shape
-    levels = np.empty((hi - lo, n), dtype=np.int32)
-    shape = (min(block, hi - lo), fan_in, n)
-    below = np.empty(shape, dtype=bool)
-    key = np.empty(shape, dtype=bool)
-    count = np.uint16 if fan_in < 1 << 16 else np.int64
-    for start in range(lo, hi, block):
-        stop = min(start + block, hi)
-        k = stop - start
-        u = _uniform_rows(rng, k * (fan_in + 2), n).reshape(k, fan_in + 2, n)
-        np.less(u[:, :fan_in], plan.thresholds[start:stop, :, None],
-                out=below[:k])
-        np.bitwise_xor(plan.flips[start:stop, :, None], x_bits, out=key[:k])
-        np.bitwise_xor(below[:k], key[:k], out=below[:k])
-        mismatches = below[:k].view(np.uint8).sum(axis=1, dtype=count)
+
+    def __init__(self, plans: list[_LayerPlan], n: int, first: int):
+        self.plans = plans
+        self.blocks = []
+        for plan in plans:
+            fan_out, fan_in = plan.thresholds.shape
+            words = (fan_in + 2) * -(-n // 4)
+            size = max(1, DRAW_BLOCK // words)
+            self.blocks.append(_Blocks(first, words, size,
+                                       -(-fan_out // size), fan_out))
+            first += fan_out * words
+        self.end = first
+        self.levels = [np.empty((b.fan_out, n), dtype=np.int32)
+                       for b in self.blocks]
+        self.inputs = [None] * len(plans)
+        self.ready = [threading.Event() for _ in plans]
+        self.done = [threading.Event() for _ in plans]
+        self.error = None
+        self._parked = [[] for _ in plans]
+        self._lock = threading.Lock()
+        self._claimed = [0] * len(plans)
+        self._left = [b.count for b in self.blocks]
+        for layer, left in enumerate(self._left):
+            if not left:
+                self.done[layer].set()
+
+    def claim(self, layer: int) -> int | None:
+        """The next unclaimed block of `layer`; None once every block is
+        claimed or a thread has failed."""
+        with self._lock:
+            i = self._claimed[layer]
+            if i == self.blocks[layer].count or self.error is not None:
+                return None
+            self._claimed[layer] = i + 1
+            return i
+
+    def draw(self, layer: int, i: int, rng: np.random.Generator):
+        """Stage A of block i, from `rng` standing at the block's first word.
+
+        Draws the block's weight and fair rows, neuron by neuron, in one
+        `_uniform_rows` call, and returns (lo, hi, below, partial): below is
+        (u < threshold) ^ flip of shape (hi - lo, fan_in, n), and partial
+        the levels before mismatches, base + fair bits.
+        """
+        plan = self.plans[layer]
+        lo, hi, _, _ = self.blocks[layer].span(i)
+        fan_in = plan.thresholds.shape[1]
+        n = plan.base_levels.shape[1]
+        u = _uniform_rows(rng, (hi - lo) * (fan_in + 2), n).reshape(
+            hi - lo, fan_in + 2, n)
+        below = np.less(u[:, :fan_in], plan.thresholds[lo:hi, :, None])
+        np.bitwise_xor(below, plan.flips[lo:hi, :, None], out=below)
         # a pair of independent fair bits (bipolar value 0) keeps the
         # counter moving when every input stream happens to be deterministic
-        fair = (u[:, fan_in:] < FAIR_THRESHOLD).sum(axis=1, dtype=np.int32)
-        np.subtract(plan.base_levels[start:stop] + fair, mismatches,
-                    out=levels[start - lo:stop - lo])
-    return levels
+        partial = plan.base_levels[lo:hi] + (
+            u[:, fan_in:] < FAIR_THRESHOLD).sum(axis=1, dtype=np.int32)
+        return lo, hi, below, partial
+
+    def add(self, layer: int, staged) -> None:
+        """Stage B: XOR the layer's input bits into a drawn block, count its
+        mismatches per cycle and write its levels, partial - mismatches."""
+        lo, hi, below, partial = staged
+        np.bitwise_xor(below, self.inputs[layer], out=below)
+        # at most fan_in mismatches per cycle, so the narrowest count that
+        # holds fan_in
+        fan_in = below.shape[1]
+        count = (np.uint8 if fan_in < 1 << 8 else
+                 np.uint16 if fan_in < 1 << 16 else np.int64)
+        np.subtract(partial, below.view(np.uint8).sum(axis=1, dtype=count),
+                    out=self.levels[layer][lo:hi])
+        with self._lock:
+            self._left[layer] -= 1
+            if not self._left[layer]:
+                self.done[layer].set()
+
+    def publish(self, layer: int, bits: np.ndarray) -> None:
+        """Hand the layer its (fan_in, n) input bits, as bool, and add the
+        blocks parked for them."""
+        self.inputs[layer] = bits.view(bool)
+        with self._lock:
+            self.ready[layer].set()
+            parked, self._parked[layer] = self._parked[layer], []
+        for staged in parked:
+            self.add(layer, staged)
+
+    def park(self, layer: int, staged) -> bool:
+        """Leave a drawn block for `publish` to add; False, and the block
+        not parked, if the layer's input bits are already out."""
+        with self._lock:
+            if self.ready[layer].is_set():
+                return False
+            self._parked[layer].append(staged)
+            return True
+
+    def unpark(self, layer: int, staged) -> bool:
+        """Take back a parked block once `ready` is set; False if
+        `publish` has added it."""
+        with self._lock:
+            parked = self._parked[layer]
+            for k, other in enumerate(parked):
+                if other is staged:
+                    del parked[k]
+                    return True
+            return False
+
+    def fail(self, error: BaseException) -> None:
+        """Keep the first error, end every wait and every later claim."""
+        with self._lock:
+            if self.error is None:
+                self.error = error
+        for event in self.ready + self.done:
+            event.set()
+
+
+def _help(run: _Run, bit_generator_type, state: dict) -> None:
+    """A helper thread's share of `run`, layer by layer.
+
+    It claims blocks until the layer has none left, then goes on to the
+    next layer, drawing its claimed block (stage A) while the caller
+    squashes this one, and parks it until the caller publishes the next
+    layer's input bits.  One generator copy serves the whole call: claims
+    only grow, so each block is reached by a forward advance.
+    """
+    rng, word = None, 0
+    try:
+        for layer, blocks in enumerate(run.blocks):
+            while (i := run.claim(layer)) is not None:
+                _, _, first, end = blocks.span(i)
+                if rng is None:
+                    rng = _positioned_copy(bit_generator_type, state, first)
+                else:
+                    rng.bit_generator.advance(first - word)
+                staged = run.draw(layer, i, rng)
+                word = end
+                if run.park(layer, staged):
+                    run.ready[layer].wait()
+                    if not run.unpark(layer, staged):
+                        continue   # the caller added it
+                if run.error is None:
+                    run.add(layer, staged)
+    except BaseException as error:
+        run.fail(error)
+
+
+def _stream_layers(plans: list[_LayerPlan], rng: np.random.Generator,
+                   input_words: int, inputs) -> np.ndarray:
+    """Output bits of the stream layers `plans`, shape (fan_out, n).
+
+    `inputs(rng)` returns the first layer's (fan_in, n) input bits after
+    drawing `input_words` words from `rng`.  On a PCG64 or PCG64DXSM
+    generator, min(usable CPUs, blocks) - 1 helper threads (`_help`) are
+    submitted first and share the blocks with the caller; on other
+    generators the caller runs every block, in order.  A caller left
+    waiting for a helper's last block draws a block of the next layer
+    meanwhile.  The caller squashes each layer in one `fsm_tanh_rows` call
+    once all its blocks are done.  An error in any thread ends the run.
+    The caller's own error, or else the first helper's, is raised once
+    every started helper has returned and every unstarted one is
+    cancelled, with `rng` after the call's last word where it can be
+    positioned.
+    """
+    n = plans[0].base_levels.shape[1]
+    run = _Run(plans, n, input_words)
+    bit_generator = rng.bit_generator
+    positionable = type(bit_generator) in _POSITIONABLE
+    helpers = 0
+    if positionable:
+        helpers = min(_usable_cpus(), sum(b.count for b in run.blocks)) - 1
+    start = bit_generator.state
+    futures = [_helper_pool().submit(_help, run, type(bit_generator), start)
+               for _ in range(helpers)]
+    word, moved = 0, False
+
+    def draw(layer, i):
+        nonlocal word, moved
+        _, _, first, end = run.blocks[layer].span(i)
+        if first != word:
+            bit_generator.advance(first - word)
+            word, moved = first, True
+        staged = run.draw(layer, i, rng)
+        word = end
+        return staged
+
+    try:
+        bits = inputs(rng)
+        word = input_words
+        ahead = None
+        for layer, plan in enumerate(plans):
+            run.publish(layer, bits)
+            if ahead is not None:
+                run.add(layer, ahead)
+            while (i := run.claim(layer)) is not None:
+                run.add(layer, draw(layer, i))
+            # while a helper adds the layer's last blocks, draw one block
+            # of the next layer instead of waiting
+            ahead = None
+            if not run.done[layer].is_set() and layer + 1 < len(plans):
+                if (i := run.claim(layer + 1)) is not None:
+                    ahead = draw(layer + 1, i)
+            run.done[layer].wait()
+            if run.error is not None:
+                break
+            steps = run.levels[layer]
+            steps *= 2
+            steps -= plan.m
+            bits = fsm_tanh_rows(steps, plan.n_states)
+    except BaseException as error:
+        run.fail(error)
+        raise
+    finally:
+        for future in futures:
+            if not future.cancel():   # started: it returns once run ends
+                future.exception()
+        if positionable and word != run.end:
+            bit_generator.advance(run.end - word)
+            moved = True
+        if moved and start["has_uint32"]:
+            # advance() drops the buffered 32-bit half; put it back
+            state = bit_generator.state
+            state["has_uint32"] = start["has_uint32"]
+            state["uinteger"] = start["uinteger"]
+            bit_generator.state = state
+    if run.error is not None:
+        raise run.error
+    return bits
 
 
 def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
                       rng: np.random.Generator) -> np.ndarray:
     """Stream-domain layer: XNOR products, adder tree, FSM squashing.
 
-    x_bits holds one bipolar input stream per row, shape (fan_in, n); the
-    result holds one output stream per neuron, shape (fan_out, n).  Fresh
-    weight streams are drawn neuron by neuron, without energy bookkeeping:
-    each neuron consumes the words of its weight rows and its two fair rows.
-    A weight bit is (u < threshold) ^ flip (`sng.write_thresholds`), so its
-    XNOR with the input bit mismatches where (u < threshold) differs from
-    flip ^ x; the adder counts fan_in minus the mismatches, plus the fair
-    bits.  The adder tree carries w.x; the +sum(w) half is a design-time
-    constant and enters the tree as the deterministic `weight_sum_offset`.
-    Its FSM's state count is M * sum_i(1 - w_i^2 E[x^2]), the adder's
-    per-cycle variance times the layer gain.  These layer constants come
-    from a plan kept on the layer per (kind, n).
+    x_bits holds one bipolar input stream per row, shape (fan_in, n), of 0/1
+    entries; the result holds one output stream per neuron, shape
+    (fan_out, n).  Fresh weight streams are drawn neuron by neuron, without
+    energy bookkeeping: each neuron consumes the words of its weight rows
+    and its two fair rows.  A weight bit is (u < threshold) ^ flip
+    (`sng.write_thresholds`), so its XNOR with the input bit mismatches
+    where (u < threshold) ^ flip differs from x; the adder counts fan_in
+    minus the mismatches, plus the fair bits.  The adder tree carries w.x;
+    the +sum(w) half is a design-time constant and enters the tree as the
+    deterministic `weight_sum_offset`.  Its FSM's state count is
+    M * sum_i(1 - w_i^2 E[x^2]), the adder's per-cycle variance times the
+    layer gain.  These layer constants come from a plan kept on the layer
+    per (kind, n).
 
-    The neurons are drawn in blocks of DRAW_BLOCK words.  On a PCG64 or
-    PCG64DXSM generator, a layer of several blocks is split into one
-    contiguous range of neurons per usable CPU: the first range runs on
-    the calling thread with `rng`, each other on a worker thread with a
-    copy of the generator advanced to the range's first word.  `rng` then
-    takes the last copy's position, with any buffered 32-bit half kept,
-    and one FSM pass squashes every row.  The bits do not depend on the
-    split.
+    The neurons are drawn in blocks of at most DRAW_BLOCK words, each from
+    its own fixed words of the generator.  On a PCG64 or PCG64DXSM
+    generator, helper threads, up to one per other usable CPU, claim blocks
+    with the caller from a shared counter, each from a copy of the
+    generator advanced to the block's first word; one FSM pass on the
+    caller squashes every row once all blocks are done.  `rng` then stands
+    after the layer's last word, with any buffered 32-bit half kept, also
+    when a thread fails.  The bits do not depend on which thread drew which
+    block.  `network_forward` runs every layer of a sample through the
+    same routine in one such run.
     """
     x_bits = np.asarray(x_bits)
     if x_bits.ndim != 2:
         raise ValueError(f"x_bits must be a (fan_in, n) matrix of input "
                          f"streams, got shape {x_bits.shape}")
     n_inputs, n = x_bits.shape
-    fan_in, fan_out = layer.weights.shape
+    fan_in = layer.weights.shape[0]
     if n_inputs != fan_in:
         raise ValueError(f"{n_inputs} input streams for a layer of fan-in "
                          f"{fan_in}")
-    plan = _layer_plan(layer, kind, n)
-    x_bits = x_bits.astype(bool)
-    words = (fan_in + 2) * -(-n // 4)
-    block = max(1, DRAW_BLOCK // words)
-    parts = 1
-    if type(rng.bit_generator) in _POSITIONABLE:
-        parts = max(1, min(_usable_cpus(), -(-fan_out // block)))
-    bounds = [fan_out * p // parts for p in range(parts + 1)]
-    copies = [_positioned_copy(rng.bit_generator, start * words)
-              for start in bounds[1:-1]]
-    futures = [_part_pool().submit(_part_levels, plan, x_bits, g, lo, hi,
-                                   block)
-               for g, lo, hi in zip(copies, bounds[1:-1], bounds[2:])]
-    try:
-        levels = [_part_levels(plan, x_bits, rng, bounds[0], bounds[1], block)]
-    finally:
-        for future in futures:   # join every part; errors are raised below
-            future.exception()
-        if copies:
-            # The LCG state alone: advance() on `rng` would also drop a
-            # buffered 32-bit half.
-            state = rng.bit_generator.state
-            state["state"] = copies[-1].bit_generator.state["state"]
-            rng.bit_generator.state = state
-    levels += [f.result() for f in futures]
-    steps = 2 * np.concatenate(levels) - plan.m
-    return fsm_tanh_rows(steps, plan.n_states)
+    if n == 0:
+        raise ValueError(f"x_bits has no cycles: shape {x_bits.shape}")
+    bad = np.argwhere((x_bits != 0) & (x_bits != 1))
+    if bad.size:
+        at = tuple(int(v) for v in bad[0])
+        raise ValueError(f"x_bits entry {at} is {x_bits[at].item()!r}; "
+                         "stream bits must be 0 or 1")
+    x_bits = np.ascontiguousarray(x_bits, dtype=bool)
+    return _stream_layers([_layer_plan(layer, kind, n)], rng, 0,
+                          lambda rng: x_bits)
 
 
 def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
@@ -392,8 +620,12 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
     """Forward pass; float path composes exact layers, stream path streams.
 
     `sample_key` disambiguates the stream randomness between samples
-    evaluated under one config.
+    evaluated under one config; its entries are non-negative integers.
     """
+    for k, entry in enumerate(sample_key):
+        if not _is_seed(entry):
+            raise ValueError(f"sample_key entries must be non-negative "
+                             f"integers; entry {k} is {entry!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (net.dims[0],):
         raise ValueError(f"input shape {x.shape} does not match dims {net.dims}")
@@ -407,10 +639,13 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
     rng = child_seed(config.seed, 7, *sample_key)
     thresholds, _, flips = write_thresholds((np.clip(x, -1.0, 1.0) + 1.0) / 2.0,
                                             config.sng_kind)
-    bits = ((_uniform_rows(rng, x.size, n) < thresholds[:, None])
-            ^ flips[:, None]).view(np.uint8)
-    for layer in net.layers:
-        bits = layer_forward_isc(layer, bits, config.sng_kind, rng)
+
+    def input_bits(rng):
+        return ((_uniform_rows(rng, x.size, n) < thresholds[:, None])
+                ^ flips[:, None])
+
+    plans = [_layer_plan(layer, config.sng_kind, n) for layer in net.layers]
+    bits = _stream_layers(plans, rng, x.size * -(-n // 4), input_bits)
     return (2 * bits.sum(axis=1, dtype=np.int64) - n) / n
 
 
@@ -432,6 +667,15 @@ def accuracy(net: NetworkSpec, features: np.ndarray, labels: np.ndarray,
     if labels.shape != (features.shape[0],):
         raise ValueError(f"{labels.size} labels for {features.shape[0]} "
                          "feature rows")
+    if labels.dtype.kind == "f":
+        bad = np.flatnonzero(~(np.isfinite(labels)
+                               & (labels == np.floor(labels))))
+        if bad.size:
+            raise ValueError(f"labels must be whole numbers; label {bad[0]} "
+                             f"is {labels[bad[0]].item()!r}")
+    elif labels.dtype.kind not in "biu":
+        raise ValueError(f"labels must be whole numbers, got dtype "
+                         f"{labels.dtype}")
     hits = 0
     for idx in range(features.shape[0]):
         outputs = network_forward(net, features[idx], config, sample_key=(idx,))
@@ -452,26 +696,37 @@ def network_to_dict(net: NetworkSpec) -> dict:
     return doc
 
 
+def _entry(doc: dict, key: str, where: str):
+    """doc[key], or a ValueError that names the key and where it is missing."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{where} has no {key!r} entry") from None
+
+
 def network_from_dict(doc: dict) -> NetworkSpec:
-    dims = doc["dims"]
-    specs = doc["layers"]
+    dims = _entry(doc, "dims", "the network document")
+    specs = _entry(doc, "layers", "the network document")
     if len(dims) != len(specs) + 1:
         raise ValueError(f"dims {dims} describe {len(dims) - 1} layers, but "
                          f"the document has {len(specs)}")
     layers = []
     for k, spec in enumerate(specs):
         shape = (dims[k], dims[k + 1])
-        weights = np.array(spec["weights"], dtype=float)
+        where = f"layer {k} of {len(specs)}"
+        weights = np.array(_entry(spec, "weights", where), dtype=float)
         if weights.size != shape[0] * shape[1]:
             raise ValueError(
                 f"layer {k} of {len(specs)} has {weights.size} weights; "
                 f"dims {dims} need {shape[0]} x {shape[1]} = "
                 f"{shape[0] * shape[1]}")
-        layers.append(LayerSpec(weights.reshape(shape), float(spec["M"])))
+        layers.append(LayerSpec(weights.reshape(shape),
+                                float(_entry(spec, "M", where))))
     scaling = None
     if "feature_scaling" in doc:
-        scaling = (np.array(doc["feature_scaling"]["lo"], dtype=float),
-                   np.array(doc["feature_scaling"]["hi"], dtype=float))
+        scaling = tuple(np.array(_entry(doc["feature_scaling"], key,
+                                        "feature_scaling"), dtype=float)
+                        for key in ("lo", "hi"))
     return NetworkSpec(tuple(layers), scaling)
 
 

@@ -37,8 +37,12 @@ class TrainConfig:
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(
                 f"learning rate must be finite and positive, got {self.eta!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer))
+                    and not isinstance(value, bool) and value >= 1):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,19 @@ class TestTrainBackprop:
         with pytest.raises(ValueError, match=f"got {eta!r}"):
             TrainConfig(eta=eta)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("epochs", 0), ("epochs", True),
+        ("batch_size", 2.0), ("batch_size", -3)])
+    def test_config_requires_whole_counts(self, field, value):
+        with pytest.raises(ValueError,
+                           match=rf"{field} must be an integer >= 1, "
+                                 rf"got {value!r}"):
+            TrainConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4))
+        assert (cfg.epochs, cfg.batch_size) == (3, 4)
+
     def test_divergence_detected(self):
         data = blob_dataset()
         with pytest.raises(RuntimeError, match="diverged"):
