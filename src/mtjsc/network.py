@@ -18,24 +18,15 @@ of `rng.bit_generator.random_raw`, read as little-endian uint16 with the
 first n kept (`sng.uniform16`).  A weight or input bit compares its
 uniform with a threshold that quantizes the write probability to 2**-16
 (`sng.write_thresholds`), and a fair bit is u < 2**15.  The kernel draws
-whole rows in blocks of neurons, which consumes the generator exactly as
-one draw per row would, so each block has its own fixed words of the
-sample.  On a PCG64 or PCG64DXSM generator, helper threads claim blocks
-with the caller from one counter per layer, each drawing from a copy of the
-generator advanced to the block's first word.  A thread that finds a
-layer's blocks all claimed draws a block of the next layer while the
-others finish theirs and the caller squashes this one; the block's inputs
-are added once the caller publishes them.  The caller's generator ends
-after the sample's last word.  So outputs depend on this order and not on
-how the draws are batched, on how many threads run, or on which thread
-drew which block.
+whole rows in blocks of neurons, in this order, on the caller's thread;
+that consumes the generator exactly as one draw per row would and leaves
+it after the sample's last word.  So outputs depend on this order and not
+on how the draws are batched.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,15 +43,9 @@ from .streams import (
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
 
 # Most 64-bit generator words drawn by one call on the stream path (512 KB),
-# to bound the memory of a draw; each thread holds one block at a time, so
-# the bound holds per thread.  Larger blocks are split by rows, in order,
-# which leaves the bits unchanged.
+# to bound the memory of a draw.  A neuron of more words is split by rows,
+# in order, which leaves the bits unchanged.
 DRAW_BLOCK = 1 << 16
-
-# Bit generators whose advance(k) skips exactly k random_raw words, so a
-# copy can start at any word of the stream.  Helper threads share a call's
-# blocks only on these (Philox, for one, advances by blocks).
-_POSITIONABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 # E[x^2] of an input uniform on [-1, 1], used to size the neuron FSM.  The
 # saturating counter behaves as tanh(K * drift / (2 * variance)), and the
@@ -254,298 +239,57 @@ def _layer_plan(layer: LayerSpec, kind: SngKind, n: int) -> _LayerPlan:
     return plan
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, which caps a call's thread count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+def _block_levels(plan: _LayerPlan, x_bits: np.ndarray, lo: int, hi: int,
+                  rng: np.random.Generator, out: np.ndarray) -> None:
+    """Adder levels of neurons lo..hi-1 of a layer, written into `out`.
 
-
-_pool = None   # (pid, ThreadPoolExecutor), made on the first threaded call
-
-
-def _helper_pool():
-    """Helper threads of the stream kernel, one per other CPU.
-
-    Made lazily, so importing the package starts no thread and loads no
-    executor code, and made anew in a forked child, which inherits the pool
-    but not its threads.  The executor starts a thread only when no idle
-    one can take a task.  Concurrent first calls may each make a pool; the
-    threads of the one that is dropped end once it is collected.
+    Draws the neurons' weight and fair rows, neuron by neuron, in one
+    `_uniform_rows` call.  A weight bit is (u < threshold) ^ flip, so
+    (u < threshold) ^ flip ^ x marks where its XNOR with the input bit x
+    mismatches; the levels are the plan's base levels plus the fair bits,
+    minus the mismatches of each cycle.  x_bits is the layer's (fan_in, n)
+    input bits, as bool.
     """
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = (os.getpid(),
-                 ThreadPoolExecutor(max(1, _usable_cpus() - 1), "mtjsc-layer"))
-    return _pool[1]
+    fan_in = plan.thresholds.shape[1]
+    n = x_bits.shape[1]
+    u = _uniform_rows(rng, (hi - lo) * (fan_in + 2), n).reshape(
+        hi - lo, fan_in + 2, n)
+    mismatch = np.less(u[:, :fan_in], plan.thresholds[lo:hi, :, None])
+    np.bitwise_xor(mismatch, plan.flips[lo:hi, :, None], out=mismatch)
+    np.bitwise_xor(mismatch, x_bits, out=mismatch)
+    # a pair of independent fair bits (bipolar value 0) keeps the counter
+    # moving when every input stream happens to be deterministic
+    partial = plan.base_levels[lo:hi] + (
+        u[:, fan_in:] < FAIR_THRESHOLD).sum(axis=1, dtype=np.int32)
+    # at most fan_in mismatches per cycle, so the narrowest count that holds
+    # fan_in
+    count = (np.uint8 if fan_in < 1 << 8 else
+             np.uint16 if fan_in < 1 << 16 else np.int64)
+    np.subtract(partial, mismatch.view(np.uint8).sum(axis=1, dtype=count),
+                out=out)
 
 
-def _positioned_copy(bit_generator_type, state: dict,
-                     words: int) -> np.random.Generator:
-    """A generator on a new bit generator in `state`, `words` words ahead."""
-    copy = bit_generator_type(0)   # seeded only to be overwritten
-    copy.state = state
-    copy.advance(words)
-    return np.random.Generator(copy)
+def _stream_layers(plans: list[_LayerPlan], bits: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Output bits of the stream layers `plans` on the first layer's
+    (fan_in, n) input bits, as bool; shape (fan_out, n), uint8.
 
-
-class _Blocks(NamedTuple):
-    """Where one layer's neuron blocks lie in the words of a call."""
-
-    first: int   # word of the call at which the layer's first neuron starts
-    words: int   # words per neuron: its weight rows and its two fair rows
-    size: int    # neurons per block
-    count: int   # blocks in the layer
-    fan_out: int
-
-    def span(self, i: int) -> tuple[int, int, int, int]:
-        """Neurons lo..hi-1 of block i, and its first and end word."""
-        lo = i * self.size
-        hi = min(lo + self.size, self.fan_out)
-        return lo, hi, self.first + lo * self.words, self.first + hi * self.words
-
-
-class _Run:
-    """One call's stream layers, whose neuron blocks the caller and any
-    helper threads claim from one counter per layer.
-
-    Block i of a layer holds `size` neurons and draws from its own fixed
-    words of the call (`_Blocks.span`), so its bits do not depend on which
-    thread runs it, or when.  Stage A (`draw`) reads only the generator;
-    stage B (`add`) also reads the layer's input bits, which the caller
-    publishes and signals with `ready`.  A helper that drew a block before
-    then parks it, and the caller adds every parked block as it publishes,
-    so no block waits for its helper to wake.  `done` signals that every
-    block of the layer has written its levels.  An error in any thread is
-    kept, every signal is set, so that every wait ends, and no later claim
-    is granted.
+    Each layer's neurons are drawn from `rng` in blocks of
+    max(1, DRAW_BLOCK // words per neuron), in order, and the layer is
+    squashed in one `fsm_tanh_rows` call.
     """
-
-    def __init__(self, plans: list[_LayerPlan], n: int, first: int):
-        self.plans = plans
-        self.blocks = []
-        for plan in plans:
-            fan_out, fan_in = plan.thresholds.shape
-            words = (fan_in + 2) * -(-n // 4)
-            size = max(1, DRAW_BLOCK // words)
-            self.blocks.append(_Blocks(first, words, size,
-                                       -(-fan_out // size), fan_out))
-            first += fan_out * words
-        self.end = first
-        self.levels = [np.empty((b.fan_out, n), dtype=np.int32)
-                       for b in self.blocks]
-        self.inputs = [None] * len(plans)
-        self.ready = [threading.Event() for _ in plans]
-        self.done = [threading.Event() for _ in plans]
-        self.error = None
-        self._parked = [[] for _ in plans]
-        self._lock = threading.Lock()
-        self._claimed = [0] * len(plans)
-        self._left = [b.count for b in self.blocks]
-        for layer, left in enumerate(self._left):
-            if not left:
-                self.done[layer].set()
-
-    def claim(self, layer: int) -> int | None:
-        """The next unclaimed block of `layer`; None once every block is
-        claimed or a thread has failed."""
-        with self._lock:
-            i = self._claimed[layer]
-            if i == self.blocks[layer].count or self.error is not None:
-                return None
-            self._claimed[layer] = i + 1
-            return i
-
-    def draw(self, layer: int, i: int, rng: np.random.Generator):
-        """Stage A of block i, from `rng` standing at the block's first word.
-
-        Draws the block's weight and fair rows, neuron by neuron, in one
-        `_uniform_rows` call, and returns (lo, hi, below, partial): below is
-        (u < threshold) ^ flip of shape (hi - lo, fan_in, n), and partial
-        the levels before mismatches, base + fair bits.
-        """
-        plan = self.plans[layer]
-        lo, hi, _, _ = self.blocks[layer].span(i)
-        fan_in = plan.thresholds.shape[1]
-        n = plan.base_levels.shape[1]
-        u = _uniform_rows(rng, (hi - lo) * (fan_in + 2), n).reshape(
-            hi - lo, fan_in + 2, n)
-        below = np.less(u[:, :fan_in], plan.thresholds[lo:hi, :, None])
-        np.bitwise_xor(below, plan.flips[lo:hi, :, None], out=below)
-        # a pair of independent fair bits (bipolar value 0) keeps the
-        # counter moving when every input stream happens to be deterministic
-        partial = plan.base_levels[lo:hi] + (
-            u[:, fan_in:] < FAIR_THRESHOLD).sum(axis=1, dtype=np.int32)
-        return lo, hi, below, partial
-
-    def add(self, layer: int, staged) -> None:
-        """Stage B: XOR the layer's input bits into a drawn block, count its
-        mismatches per cycle and write its levels, partial - mismatches."""
-        lo, hi, below, partial = staged
-        np.bitwise_xor(below, self.inputs[layer], out=below)
-        # at most fan_in mismatches per cycle, so the narrowest count that
-        # holds fan_in
-        fan_in = below.shape[1]
-        count = (np.uint8 if fan_in < 1 << 8 else
-                 np.uint16 if fan_in < 1 << 16 else np.int64)
-        np.subtract(partial, below.view(np.uint8).sum(axis=1, dtype=count),
-                    out=self.levels[layer][lo:hi])
-        with self._lock:
-            self._left[layer] -= 1
-            if not self._left[layer]:
-                self.done[layer].set()
-
-    def publish(self, layer: int, bits: np.ndarray) -> None:
-        """Hand the layer its (fan_in, n) input bits, as bool, and add the
-        blocks parked for them."""
-        self.inputs[layer] = bits.view(bool)
-        with self._lock:
-            self.ready[layer].set()
-            parked, self._parked[layer] = self._parked[layer], []
-        for staged in parked:
-            self.add(layer, staged)
-
-    def park(self, layer: int, staged) -> bool:
-        """Leave a drawn block for `publish` to add; False, and the block
-        not parked, if the layer's input bits are already out."""
-        with self._lock:
-            if self.ready[layer].is_set():
-                return False
-            self._parked[layer].append(staged)
-            return True
-
-    def unpark(self, layer: int, staged) -> bool:
-        """Take back a parked block once `ready` is set; False if
-        `publish` has added it."""
-        with self._lock:
-            parked = self._parked[layer]
-            for k, other in enumerate(parked):
-                if other is staged:
-                    del parked[k]
-                    return True
-            return False
-
-    def fail(self, error: BaseException) -> None:
-        """Keep the first error, end every wait and every later claim."""
-        with self._lock:
-            if self.error is None:
-                self.error = error
-        for event in self.ready + self.done:
-            event.set()
-
-
-def _help(run: _Run, bit_generator_type, state: dict) -> None:
-    """A helper thread's share of `run`, layer by layer.
-
-    It claims blocks until the layer has none left, then goes on to the
-    next layer, drawing its claimed block (stage A) while the caller
-    squashes this one, and parks it until the caller publishes the next
-    layer's input bits.  One generator copy serves the whole call: claims
-    only grow, so each block is reached by a forward advance.
-    """
-    rng, word = None, 0
-    try:
-        for layer, blocks in enumerate(run.blocks):
-            while (i := run.claim(layer)) is not None:
-                _, _, first, end = blocks.span(i)
-                if rng is None:
-                    rng = _positioned_copy(bit_generator_type, state, first)
-                else:
-                    rng.bit_generator.advance(first - word)
-                staged = run.draw(layer, i, rng)
-                word = end
-                if run.park(layer, staged):
-                    run.ready[layer].wait()
-                    if not run.unpark(layer, staged):
-                        continue   # the caller added it
-                if run.error is None:
-                    run.add(layer, staged)
-    except BaseException as error:
-        run.fail(error)
-
-
-def _stream_layers(plans: list[_LayerPlan], rng: np.random.Generator,
-                   input_words: int, inputs) -> np.ndarray:
-    """Output bits of the stream layers `plans`, shape (fan_out, n).
-
-    `inputs(rng)` returns the first layer's (fan_in, n) input bits after
-    drawing `input_words` words from `rng`.  On a PCG64 or PCG64DXSM
-    generator, min(usable CPUs, blocks) - 1 helper threads (`_help`) are
-    submitted first and share the blocks with the caller; on other
-    generators the caller runs every block, in order.  A caller left
-    waiting for a helper's last block draws a block of the next layer
-    meanwhile.  The caller squashes each layer in one `fsm_tanh_rows` call
-    once all its blocks are done.  An error in any thread ends the run.
-    The caller's own error, or else the first helper's, is raised once
-    every started helper has returned and every unstarted one is
-    cancelled, with `rng` after the call's last word where it can be
-    positioned.
-    """
-    n = plans[0].base_levels.shape[1]
-    run = _Run(plans, n, input_words)
-    bit_generator = rng.bit_generator
-    positionable = type(bit_generator) in _POSITIONABLE
-    helpers = 0
-    if positionable:
-        helpers = min(_usable_cpus(), sum(b.count for b in run.blocks)) - 1
-    start = bit_generator.state
-    futures = [_helper_pool().submit(_help, run, type(bit_generator), start)
-               for _ in range(helpers)]
-    word, moved = 0, False
-
-    def draw(layer, i):
-        nonlocal word, moved
-        _, _, first, end = run.blocks[layer].span(i)
-        if first != word:
-            bit_generator.advance(first - word)
-            word, moved = first, True
-        staged = run.draw(layer, i, rng)
-        word = end
-        return staged
-
-    try:
-        bits = inputs(rng)
-        word = input_words
-        ahead = None
-        for layer, plan in enumerate(plans):
-            run.publish(layer, bits)
-            if ahead is not None:
-                run.add(layer, ahead)
-            while (i := run.claim(layer)) is not None:
-                run.add(layer, draw(layer, i))
-            # while a helper adds the layer's last blocks, draw one block
-            # of the next layer instead of waiting
-            ahead = None
-            if not run.done[layer].is_set() and layer + 1 < len(plans):
-                if (i := run.claim(layer + 1)) is not None:
-                    ahead = draw(layer + 1, i)
-            run.done[layer].wait()
-            if run.error is not None:
-                break
-            steps = run.levels[layer]
-            steps *= 2
-            steps -= plan.m
-            bits = fsm_tanh_rows(steps, plan.n_states)
-    except BaseException as error:
-        run.fail(error)
-        raise
-    finally:
-        for future in futures:
-            if not future.cancel():   # started: it returns once run ends
-                future.exception()
-        if positionable and word != run.end:
-            bit_generator.advance(run.end - word)
-            moved = True
-        if moved and start["has_uint32"]:
-            # advance() drops the buffered 32-bit half; put it back
-            state = bit_generator.state
-            state["has_uint32"] = start["has_uint32"]
-            state["uinteger"] = start["uinteger"]
-            bit_generator.state = state
-    if run.error is not None:
-        raise run.error
+    n = bits.shape[1]
+    for plan in plans:
+        fan_out, fan_in = plan.thresholds.shape
+        size = max(1, DRAW_BLOCK // ((fan_in + 2) * -(-n // 4)))
+        x_bits = bits.view(bool)
+        levels = np.empty((fan_out, n), dtype=np.int32)
+        for lo in range(0, fan_out, size):
+            hi = min(lo + size, fan_out)
+            _block_levels(plan, x_bits, lo, hi, rng, levels[lo:hi])
+        levels *= 2
+        levels -= plan.m
+        bits = fsm_tanh_rows(levels, plan.n_states)
     return bits
 
 
@@ -567,16 +311,11 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
     layer gain.  These layer constants come from a plan kept on the layer
     per (kind, n).
 
-    The neurons are drawn in blocks of at most DRAW_BLOCK words, each from
-    its own fixed words of the generator.  On a PCG64 or PCG64DXSM
-    generator, helper threads, up to one per other usable CPU, claim blocks
-    with the caller from a shared counter, each from a copy of the
-    generator advanced to the block's first word; one FSM pass on the
-    caller squashes every row once all blocks are done.  `rng` then stands
-    after the layer's last word, with any buffered 32-bit half kept, also
-    when a thread fails.  The bits do not depend on which thread drew which
-    block.  `network_forward` runs every layer of a sample through the
-    same routine in one such run.
+    The neurons are drawn from `rng` in order, in blocks of at most
+    DRAW_BLOCK words (at least one neuron), and one FSM pass squashes every
+    row once all blocks are done.  `rng` then stands after the layer's last
+    word, with any buffered 32-bit half kept.  `network_forward` runs every
+    layer of a sample through the same routine.
     """
     x_bits = np.asarray(x_bits)
     if x_bits.ndim != 2:
@@ -595,8 +334,7 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
         raise ValueError(f"x_bits entry {at} is {x_bits[at].item()!r}; "
                          "stream bits must be 0 or 1")
     x_bits = np.ascontiguousarray(x_bits, dtype=bool)
-    return _stream_layers([_layer_plan(layer, kind, n)], rng, 0,
-                          lambda rng: x_bits)
+    return _stream_layers([_layer_plan(layer, kind, n)], x_bits, rng)
 
 
 def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
@@ -639,13 +377,10 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
     rng = child_seed(config.seed, 7, *sample_key)
     thresholds, _, flips = write_thresholds((np.clip(x, -1.0, 1.0) + 1.0) / 2.0,
                                             config.sng_kind)
-
-    def input_bits(rng):
-        return ((_uniform_rows(rng, x.size, n) < thresholds[:, None])
-                ^ flips[:, None])
-
+    bits = ((_uniform_rows(rng, x.size, n) < thresholds[:, None])
+            ^ flips[:, None])
     plans = [_layer_plan(layer, config.sng_kind, n) for layer in net.layers]
-    bits = _stream_layers(plans, rng, x.size * -(-n // 4), input_bits)
+    bits = _stream_layers(plans, bits, rng)
     return (2 * bits.sum(axis=1, dtype=np.int64) - n) / n
 
 

@@ -197,8 +197,8 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     split = _write_split(write_probability(p, kind), cost_model)
     bits, switched = sng_bits(p, n, kind, np.random.default_rng(seed))
     n_switched = int(switched.sum())

@@ -1,10 +1,12 @@
-"""Stochastic and integral-stochastic number representations and arithmetic.
+"""Stochastic and integral-stochastic streams and the FSM tanh.
 
 A stochastic stream is a finite sequence of bits whose fraction of 1s
 carries a value: k/n in the unipolar format, (2k - n)/n in the bipolar
 format.  An integral stream generalizes this to per-cycle integer levels in
-[0, m], equivalent to the bitwise sum of m unit streams, which makes
-addition exact and keeps products representable.
+[0, m], equivalent to the bitwise sum of m unit streams; an adder tree's
+output is one.  A saturating counter (`fsm_tanh`, or `fsm_tanh_rows` over
+many rows at once) squashes a bipolar integral stream into a unit stream
+that approximates tanh of its value.
 """
 
 from __future__ import annotations
@@ -72,17 +74,6 @@ class IntegralStream:
         return self.levels.size
 
 
-def bernoulli_stream(p: float, n: int, seed, fmt: Format = Format.UNIPOLAR) -> StochasticStream:
-    """Ideal stream of n independent bits, each 1 with probability p.
-
-    For a bipolar stream of value v, pass p = (v + 1) / 2.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    return StochasticStream((rng.random(n) < p).astype(np.uint8), fmt)
-
-
 def value_of(stream) -> float:
     """Value carried by a stream; exact integer arithmetic over the counts."""
     if isinstance(stream, StochasticStream):
@@ -98,88 +89,6 @@ def value_of(stream) -> float:
             return total / n
         return 2 * total / n - stream.m
     raise TypeError(f"not a stream: {type(stream).__name__}")
-
-
-def _check_pair(x: StochasticStream, y: StochasticStream, same_format=True):
-    if len(x) != len(y):
-        raise ValueError(f"stream length mismatch: {len(x)} vs {len(y)}")
-    if same_format and x.format is not y.format:
-        raise ValueError("stream format mismatch")
-
-
-def sc_multiply(x: StochasticStream, y: StochasticStream) -> StochasticStream:
-    """Stream product: AND in the unipolar format, XNOR in the bipolar."""
-    _check_pair(x, y)
-    if x.format is Format.UNIPOLAR:
-        bits = x.bits & y.bits
-    else:
-        bits = np.uint8(1) - (x.bits ^ y.bits)
-    return StochasticStream(bits, x.format)
-
-
-def scaled_add(a: StochasticStream, b: StochasticStream,
-               s: StochasticStream) -> StochasticStream:
-    """Mux-based scaled addition: each output bit comes from a when the
-    select bit is 1 and from b otherwise, giving A*S + B*(1-S)."""
-    _check_pair(a, b)
-    if len(s) != len(a):
-        raise ValueError("select stream length mismatch")
-    bits = np.where(s.bits == 1, a.bits, b.bits).astype(np.uint8)
-    return StochasticStream(bits, a.format)
-
-
-def to_integral(stream: StochasticStream) -> IntegralStream:
-    """View a unit stream as an integral stream with m = 1."""
-    return IntegralStream(stream.bits.astype(np.int32), 1, stream.format)
-
-
-def isc_encode(s: float, m: int, n: int, seed,
-               fmt: Format = Format.UNIPOLAR) -> IntegralStream:
-    """Encode a real s as the bitwise sum of m equal-split unit streams."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lo, hi = (0.0, m) if fmt is Format.UNIPOLAR else (-m, m)
-    if not lo <= s <= hi:
-        raise ValueError(f"s = {s} outside [{lo}, {hi}] for {fmt.value} format")
-    unit = s / m
-    p = unit if fmt is Format.UNIPOLAR else (unit + 1.0) / 2.0
-    rng = np.random.default_rng(seed)
-    levels = (rng.random((m, n)) < p).sum(axis=0).astype(np.int32)
-    return IntegralStream(levels, m, fmt)
-
-
-def isc_add(a: IntegralStream, b: IntegralStream) -> IntegralStream:
-    """Exact elementwise addition; the range bound grows to m_a + m_b."""
-    if len(a) != len(b):
-        raise ValueError("stream length mismatch")
-    if a.format is not b.format:
-        raise ValueError("stream format mismatch")
-    return IntegralStream(a.levels + b.levels, a.m + b.m, a.format)
-
-
-def isc_multiply(a, b) -> IntegralStream:
-    """Elementwise product of levels; bound m1 * m2.
-
-    Either operand may be a unit StochasticStream, treated as an integral
-    stream with m = 1.  In the bipolar format the product is taken on the
-    signed per-cycle values (2*level - m) and mapped back.
-    """
-    if isinstance(a, StochasticStream):
-        a = to_integral(a)
-    if isinstance(b, StochasticStream):
-        b = to_integral(b)
-    if len(a) != len(b):
-        raise ValueError("stream length mismatch")
-    if a.format is not b.format:
-        raise ValueError("stream format mismatch")
-    m = a.m * b.m
-    if a.format is Format.UNIPOLAR:
-        levels = a.levels.astype(np.int64) * b.levels
-    else:
-        signed = ((2 * a.levels.astype(np.int64) - a.m)
-                  * (2 * b.levels.astype(np.int64) - b.m))
-        levels = (signed + m) // 2
-    return IntegralStream(levels.astype(np.int32), m, a.format)
 
 
 def default_tanh_states(m: int, gain: float = 2.0) -> int:

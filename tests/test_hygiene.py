@@ -1,6 +1,5 @@
 """Source hygiene: no unused imports, no settings read from the environment,
-no thread started behind the caller's back, and every declared script
-resolves."""
+no thread started, and every declared script resolves."""
 
 import ast
 import importlib
@@ -84,9 +83,18 @@ def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
 
 
+def run_script(lines: list[str]) -> None:
+    """Run `lines` as a script in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_import_and_energy_pricing_start_no_thread():
-    """Only the stream kernel's parts start threads, and only when run."""
-    script = "\n".join([
+    """Importing every module and pricing SNG energy start no thread."""
+    run_script([
         "import importlib, threading",
         *(f"importlib.import_module('mtjsc.{path.stem}')" for path in MODULES
           if path.stem != "__init__"),
@@ -97,8 +105,22 @@ def test_import_and_energy_pricing_start_no_thread():
         "    energy_per_bit(0.3, kind, cost_model)",
         "assert threading.active_count() == 1, threading.enumerate()",
     ])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+
+
+def test_stream_forward_starts_no_thread():
+    """A stream-path forward pass runs on the caller alone, also on a net
+    whose first layer is 20 draw blocks (196-100-10 at n = 256)."""
+    run_script([
+        "import threading",
+        "import numpy as np",
+        "from mtjsc.network import (EvalConfig, LayerSpec, NetworkSpec,",
+        "                           network_forward)",
+        "from mtjsc.sng import SngKind",
+        "rng = np.random.default_rng(1)",
+        "net = NetworkSpec(tuple(LayerSpec(rng.uniform(-1, 1, shape), 2.0)",
+        "                        for shape in ((196, 100), (100, 10))))",
+        "cfg = EvalConfig(stream_length=256, seed=1, sng_kind=SngKind.BMS)",
+        "out = network_forward(net, rng.uniform(-1, 1, 196), cfg, (0,))",
+        "assert out.shape == (10,)",
+        "assert threading.active_count() == 1, threading.enumerate()",
+    ])

@@ -1,13 +1,7 @@
 """Tests for float and stream-domain network evaluation."""
 
-import concurrent.futures
 import gc
 import math
-import multiprocessing
-import queue
-import sys
-import threading
-import time
 import weakref
 
 import numpy as np
@@ -201,11 +195,6 @@ def reference_forward(net, x, config, sample_key):
     return np.array([(2 * int(b.sum()) - n) / n for b in bits])
 
 
-def on_helper():
-    """Whether this thread is one of the stream kernel's helpers."""
-    return threading.current_thread().name.startswith("mtjsc-layer")
-
-
 class TestLayerKernel:
     """The batched stream path against the per-input reference, exactly."""
 
@@ -214,54 +203,11 @@ class TestLayerKernel:
         return NetworkSpec((LayerSpec(rng.uniform(-1, 1, (9, 5)), 2.5),
                             LayerSpec(rng.uniform(-1, 1, (5, 3)), 1.5)))
 
-    def threads(self, monkeypatch, count):
-        """Run calls of enough blocks on `count` threads, from a new pool."""
-        monkeypatch.setattr(network, "_usable_cpus", lambda: count)
-        monkeypatch.setattr(network, "_pool", None)
-
-    def split_kernel(self, monkeypatch, parts):
-        """Share layers between `parts` threads where they have that many
-        blocks: at DRAW_BLOCK = 2 * 11 * 32 words, two of small_net's
-        first-layer neurons (11 rows of 32 words at n = 128) share a block,
-        and its second layer is one block."""
-        self.threads(monkeypatch, parts)
+    def split_kernel(self, monkeypatch):
+        """At DRAW_BLOCK = 2 * 11 * 32 words, two of small_net's first-layer
+        neurons (11 rows of 32 words at n = 128) share a block, and its
+        second layer is one block."""
         monkeypatch.setattr(network, "DRAW_BLOCK", 2 * 11 * 32)
-
-    def leave_next_layer_to_a_helper(self, monkeypatch, event):
-        """Keep the caller from claiming a second-layer block, so from
-        drawing one ahead, until `event` is set."""
-        claim = network._Run.claim
-
-        def claiming(run, layer_index):
-            if layer_index == 1 and not on_helper():
-                event.wait(timeout=30)
-            return claim(run, layer_index)
-
-        monkeypatch.setattr(network._Run, "claim", claiming)
-
-    def call_words(self):
-        """Words one small_net forward at n = 128 draws: 9 input rows, then
-        5 neurons of 11 rows and 3 of 7, 32 words a row."""
-        return (9 + 5 * 11 + 3 * 7) * 32
-
-    def run_within(self, fn, seconds=60):
-        """fn() on its own thread; its result or error, failing the test if
-        it has not returned within `seconds`."""
-        box = {}
-
-        def target():
-            try:
-                box["result"] = fn()
-            except BaseException as error:
-                box["error"] = error
-
-        thread = threading.Thread(target=target, daemon=True)
-        thread.start()
-        thread.join(timeout=seconds)
-        assert not thread.is_alive(), f"the call hung for {seconds} s"
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
 
     def layer_inputs(self):
         return np.stack([bip_stream(0.2 * i - 0.8, 128, 60 + i).bits
@@ -277,23 +223,18 @@ class TestLayerKernel:
         if draw_block is not None:
             monkeypatch.setattr(network, "DRAW_BLOCK", draw_block)
         net = self.small_net()
-        # each thread count on every draw block; a call of fewer blocks
-        # runs one thread per block
-        for parts in (1, 2, 3):
-            self.threads(monkeypatch, parts)
-            rng = np.random.default_rng(7)
-            for trial in range(4):
-                x = rng.uniform(-1.2, 1.2, 9)
-                cfg = EvalConfig(stream_length=128, seed=trial, sng_kind=kind)
-                out = network_forward(net, x, cfg, sample_key=(trial,))
-                assert np.array_equal(
-                    out, reference_forward(net, x, cfg, (trial,))), parts
+        rng = np.random.default_rng(7)
+        for trial in range(4):
+            x = rng.uniform(-1.2, 1.2, 9)
+            cfg = EvalConfig(stream_length=128, seed=trial, sng_kind=kind)
+            out = network_forward(net, x, cfg, sample_key=(trial,))
+            assert np.array_equal(out, reference_forward(net, x, cfg,
+                                                         (trial,)))
 
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_caller_generator_ends_after_the_layer(self, parts, monkeypatch):
+    def test_caller_generator_ends_after_the_layer(self, monkeypatch):
         """The caller's generator ends where serial draws end, and keeps
         the 32-bit half that a float32 draw buffered."""
-        self.split_kernel(monkeypatch, parts)
+        self.split_kernel(monkeypatch)
         layer = self.small_net().layers[0]
         x_bits = self.layer_inputs()
         rng, ref = child_seed(4), child_seed(4)
@@ -307,214 +248,12 @@ class TestLayerKernel:
         assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
         assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
-    def test_failed_helper_still_positions_the_caller(self, monkeypatch):
-        """A helper that fails mid-layer ends the call with its error, after
-        every helper has returned, and the caller's generator stands where
-        the serial draws end."""
-        self.split_kernel(monkeypatch, 2)
-        layer = self.small_net().layers[0]
-        x_bits = self.layer_inputs()
-        draw = network._Run.draw
-        helper_drew = threading.Event()
-
-        def helper_fails(run, layer_index, i, rng):
-            if on_helper():
-                draw(run, layer_index, i, rng)
-                helper_drew.set()
-                raise RuntimeError("helper failed")
-            # let a helper claim and draw a block before the caller draws
-            helper_drew.wait(timeout=30)
-            return draw(run, layer_index, i, rng)
-
-        monkeypatch.setattr(network._Run, "draw", helper_fails)
-        rng, ref = child_seed(4), child_seed(4)
-        with pytest.raises(RuntimeError, match="helper failed"):
-            self.run_within(lambda: layer_forward_isc(layer, x_bits,
-                                                      SngKind.BMS, rng))
-        assert helper_drew.is_set()
-        for j in range(5):
-            reference_neuron(layer.weights[:, j], x_bits, layer.m_scale,
-                             SngKind.BMS, ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_failed_caller_stops_the_helpers(self, monkeypatch):
-        """A squash that fails while a helper waits for the next layer's
-        input bits ends the call with its error: the helper returns, and
-        the generator stands after the call's last word."""
-        self.split_kernel(monkeypatch, 2)
-        draw = network._Run.draw
-        helper_drew_ahead = threading.Event()
-        self.leave_next_layer_to_a_helper(monkeypatch, helper_drew_ahead)
-
-        def drawn(run, layer_index, i, rng):
-            staged = draw(run, layer_index, i, rng)
-            if layer_index == 1 and on_helper():
-                helper_drew_ahead.set()
-            return staged
-
-        def squash_fails(steps, n_states):
-            helper_drew_ahead.wait(timeout=30)
-            raise RuntimeError("squash failed")
-
-        pool = network._helper_pool()
-        futures = []
-
-        class RecordingPool:
-            def submit(self, *args):
-                futures.append(pool.submit(*args))
-                return futures[-1]
-
-        monkeypatch.setattr(network, "_helper_pool", RecordingPool)
-        monkeypatch.setattr(network._Run, "draw", drawn)
-        monkeypatch.setattr(network, "fsm_tanh_rows", squash_fails)
-        rng, ref = child_seed(4), child_seed(4)
-        ref.bit_generator.advance(self.call_words())
-        monkeypatch.setattr(network, "child_seed", lambda *key: rng)
-        cfg = EvalConfig(stream_length=128, seed=5)
-        with pytest.raises(RuntimeError, match="squash failed"):
-            self.run_within(lambda: network_forward(
-                self.small_net(), np.linspace(-0.9, 0.9, 9), cfg))
-        assert helper_drew_ahead.is_set()
-        assert len(futures) == 1 and all(f.done() for f in futures)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_caller_adds_the_blocks_parked_for_a_layer(self, monkeypatch):
-        """A helper that draws the next layer's block during the squash
-        parks it, and the caller adds it as it publishes that layer's input
-        bits, without waiting for the helper."""
-        self.split_kernel(monkeypatch, 2)
-        park, add = network._Run.park, network._Run.add
-        squash = network.fsm_tanh_rows
-        parked = threading.Event()
-        self.leave_next_layer_to_a_helper(monkeypatch, parked)
-        adders = []
-
-        def parking(run, layer_index, staged):
-            left = park(run, layer_index, staged)
-            if left and layer_index == 1:
-                parked.set()
-            return left
-
-        def adding(run, layer_index, staged):
-            adders.append((layer_index, on_helper()))
-            add(run, layer_index, staged)
-
-        def squash_once_parked(steps, n_states):
-            parked.wait(timeout=30)
-            return squash(steps, n_states)
-
-        monkeypatch.setattr(network._Run, "park", parking)
-        monkeypatch.setattr(network._Run, "add", adding)
-        monkeypatch.setattr(network, "fsm_tanh_rows", squash_once_parked)
-        net = self.small_net()
-        x = np.linspace(-0.9, 0.9, 9)
-        cfg = EvalConfig(stream_length=128, seed=5)
-        out = self.run_within(
-            lambda: network_forward(net, x, cfg, sample_key=(1,)))
-        assert np.array_equal(out, reference_forward(net, x, cfg, (1,)))
-        assert parked.is_set()
-        # small_net's second layer is one block
-        assert [a for a in adders if a[0] == 1] == [(1, False)]
-
-    def test_caller_draws_ahead_while_a_helper_finishes(self, monkeypatch):
-        """A caller whose layer has no block left to claim, while a helper
-        still runs one, draws the next layer's block instead of waiting,
-        and adds it once it has squashed and published the layer."""
-        self.split_kernel(monkeypatch, 2)
-        draw = network._Run.draw
-        helper_drew, caller_drew_ahead = threading.Event(), threading.Event()
-        drawers = []
-
-        def drawn(run, layer_index, i, rng):
-            drawers.append((layer_index, on_helper()))
-            if on_helper() and layer_index == 0:
-                helper_drew.set()   # hold the helper in its first block
-                caller_drew_ahead.wait(timeout=30)
-            elif not on_helper():
-                if layer_index == 1:
-                    caller_drew_ahead.set()
-                else:   # let a helper claim a block first
-                    helper_drew.wait(timeout=30)
-            return draw(run, layer_index, i, rng)
-
-        monkeypatch.setattr(network._Run, "draw", drawn)
-        net = self.small_net()
-        x = np.linspace(-0.9, 0.9, 9)
-        cfg = EvalConfig(stream_length=128, seed=5)
-        out = self.run_within(
-            lambda: network_forward(net, x, cfg, sample_key=(3,)))
-        assert np.array_equal(out, reference_forward(net, x, cfg, (3,)))
-        assert caller_drew_ahead.is_set()
-        assert [d for d in drawers if d[0] == 1] == [(1, False)]
-
-    def test_unstarted_helper_is_cancelled(self, monkeypatch):
-        """With every pool thread busy elsewhere, the caller runs every
-        block itself, cancels its waiting helpers and returns."""
-        self.split_kernel(monkeypatch, 3)
-        net = self.small_net()
-        x = np.linspace(-0.9, 0.9, 9)
-        cfg = EvalConfig(stream_length=128, seed=5)
-        expect = reference_forward(net, x, cfg, (2,))
-        futures = []
-
-        def never_started(*args):
-            futures.append(concurrent.futures.Future())
-            return futures[-1]
-
-        class BusyPool:
-            submit = staticmethod(never_started)
-
-        monkeypatch.setattr(network, "_helper_pool", BusyPool)
-        out = self.run_within(
-            lambda: network_forward(net, x, cfg, sample_key=(2,)))
-        assert np.array_equal(out, expect)
-        assert len(futures) == 2 and all(f.cancelled() for f in futures)
-
-    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
-        """Four callers share a pool of three helpers on blocks of one
-        neuron, with the interpreter switching threads every microsecond:
-        every output matches the one-thread output, so no claim, level or
-        parked block is lost or run twice, and every call returns."""
-        net = self.small_net()
-        xs = np.random.default_rng(13).uniform(-1, 1, (4, 9))
-        cfgs = [EvalConfig(stream_length=128, seed=k) for k in range(4)]
-        self.threads(monkeypatch, 1)
-        expect = [network_forward(net, x, cfg, sample_key=(k,))
-                  for k, (x, cfg) in enumerate(zip(xs, cfgs))]
-        self.threads(monkeypatch, 4)
-        monkeypatch.setattr(network, "DRAW_BLOCK", 11 * 32)
-        outs = [[] for _ in cfgs]
-
-        def caller(k):
-            for _ in range(15):
-                outs[k].append(network_forward(net, xs[k], cfgs[k],
-                                               sample_key=(k,)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=caller, args=(k,), daemon=True)
-                       for k in range(4)]
-            for thread in callers:
-                thread.start()
-            deadline = time.monotonic() + 60
-            for thread in callers:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in callers)
-        for k in range(4):
-            assert len(outs[k]) == 15
-            assert all(np.array_equal(out, expect[k]) for out in outs[k])
-
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_wide_fan_in_matches_reference(self, parts, monkeypatch):
+    def test_wide_fan_in_matches_reference(self, monkeypatch):
         """A 300-input layer counts up to 300 mismatches a cycle, past what
         a uint8 holds: weights near +1 on inputs near -1, and near -1 on
         inputs near +1, mismatch on about 280 inputs every cycle.  The
         levels then sit about 300 below the adder's midpoint, so a count
         wrapped at 256 flips their sign."""
-        self.threads(monkeypatch, parts)
         # two 302-row neurons of 32 words per block: the first layer is two
         # blocks, the second one
         monkeypatch.setattr(network, "DRAW_BLOCK", 2 * 302 * 32)
@@ -531,13 +270,12 @@ class TestLayerKernel:
             assert np.array_equal(out, reference_forward(net, x, cfg,
                                                          (trial,)))
 
-    # PCG64DXSM splits like PCG64; the others run in one part
     @pytest.mark.parametrize("bit_generator", [
         np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64,
         np.random.Philox], ids=lambda cls: cls.__name__)
     def test_other_bit_generators_match_reference(self, bit_generator,
                                                   monkeypatch):
-        self.split_kernel(monkeypatch, 2)
+        self.split_kernel(monkeypatch)
         layer = self.small_net().layers[0]
         x_bits = self.layer_inputs()
         rng = np.random.Generator(bit_generator(9))
@@ -551,7 +289,7 @@ class TestLayerKernel:
     def test_plans_stay_with_their_layer(self, monkeypatch):
         """Layers built and freed in a loop each get their own plan, and no
         plan keeps its layer alive."""
-        self.split_kernel(monkeypatch, 2)
+        self.split_kernel(monkeypatch)
         x_bits = self.layer_inputs()
         weights = np.random.default_rng(10).uniform(-1, 1, (6, 9, 5))
         refs = []
@@ -568,33 +306,6 @@ class TestLayerKernel:
             del layer
         gc.collect()
         assert all(ref() is None for ref in refs)
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs the fork start method")
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_forked_child_after_the_pool_ran(self, monkeypatch):
-        """A child forked after the worker threads ran gets its own."""
-        self.split_kernel(monkeypatch, 2)
-        net = self.small_net()
-        x = np.linspace(-0.9, 0.9, 9)
-        cfg = EvalConfig(stream_length=128, seed=5)
-        expect = network_forward(net, x, cfg, sample_key=(0,))
-        assert any(t.name.startswith("mtjsc-layer")
-                   for t in threading.enumerate())
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        child = ctx.Process(target=lambda: results.put(
-            network_forward(net, x, cfg, sample_key=(0,))))
-        child.start()
-        try:
-            out = results.get(timeout=60)
-        except queue.Empty:
-            pytest.fail("the forked child returned nothing within 60 s")
-        finally:
-            child.join(timeout=10)
-            if child.is_alive():
-                child.kill()
-        assert np.array_equal(out, expect)
 
     def test_one_dimensional_inputs_named(self):
         layer = LayerSpec(np.zeros((3, 2)), 1.0)

@@ -1,6 +1,7 @@
 """Tests for the normal and biased MTJ stochastic number generators."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,12 @@ class TestGenerateStream:
             generate_stream(1.5, 8, NORMAL, 0, cost_model)
         with pytest.raises(ValueError):
             generate_stream(0.5, 0, NORMAL, 0, cost_model)
+
+    @pytest.mark.parametrize("n", [0, -4, 2.5, "8", True, None])
+    def test_bad_length_named(self, cost_model, n):
+        with pytest.raises(ValueError, match=r"n must be an integer >= 1, "
+                                             rf"got {re.escape(repr(n))}$"):
+            generate_stream(0.5, n, NORMAL, 0, cost_model)
 
 
 class TestEnergyPerBit:
