@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .network import _is_seed, _label_problem
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -31,6 +33,9 @@ class Dataset:
 
     def __post_init__(self):
         f = np.ascontiguousarray(self.features, dtype=float)
+        problem = _label_problem(np.asarray(self.labels))
+        if problem:
+            raise DataError(problem)
         y = np.ascontiguousarray(self.labels, dtype=np.int64)
         if f.ndim != 2 or y.shape != (f.shape[0],):
             raise DataError("features must be (D, I) with one label per row")
@@ -199,6 +204,8 @@ def split_dataset(dataset: Dataset, first_size: int, seed) -> tuple[Dataset, Dat
     """Seeded shuffle split into (first, rest)."""
     if not 0 < first_size < len(dataset):
         raise DataError("split size must be inside the dataset")
+    if not _is_seed(seed):
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     order = np.random.default_rng(seed).permutation(len(dataset))
     first = dataset.subset(order[:first_size])
     rest = dataset.subset(order[first_size:])

@@ -156,6 +156,20 @@ def _is_seed(value) -> bool:
             and not isinstance(value, bool) and value >= 0)
 
 
+def _label_problem(labels: np.ndarray) -> str | None:
+    """Why `labels` are not whole numbers, naming the first bad one; None
+    if they are."""
+    if labels.dtype.kind == "f":
+        bad = np.flatnonzero(~(np.isfinite(labels)
+                               & (labels == np.floor(labels))))
+        if bad.size:
+            return (f"labels must be whole numbers; label {bad[0]} is "
+                    f"{labels[bad[0]].item()!r}")
+    elif labels.dtype.kind not in "biu":
+        return f"labels must be whole numbers, got dtype {labels.dtype}"
+    return None
+
+
 def neuron_forward_float(w: np.ndarray, x: np.ndarray, m_scale: float):
     """Weighted sum a = (M/2)(w.x + w.1) and activation t = tanh(a)."""
     w = np.asarray(w, dtype=float)
@@ -402,15 +416,9 @@ def accuracy(net: NetworkSpec, features: np.ndarray, labels: np.ndarray,
     if labels.shape != (features.shape[0],):
         raise ValueError(f"{labels.size} labels for {features.shape[0]} "
                          "feature rows")
-    if labels.dtype.kind == "f":
-        bad = np.flatnonzero(~(np.isfinite(labels)
-                               & (labels == np.floor(labels))))
-        if bad.size:
-            raise ValueError(f"labels must be whole numbers; label {bad[0]} "
-                             f"is {labels[bad[0]].item()!r}")
-    elif labels.dtype.kind not in "biu":
-        raise ValueError(f"labels must be whole numbers, got dtype "
-                         f"{labels.dtype}")
+    problem = _label_problem(labels)
+    if problem:
+        raise ValueError(problem)
     hits = 0
     for idx in range(features.shape[0]):
         outputs = network_forward(net, features[idx], config, sample_key=(idx,))

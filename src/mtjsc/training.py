@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .network import LayerSpec, NetworkSpec
+from .network import LayerSpec, NetworkSpec, _is_seed
 
 TARGET_HIGH = 0.9
 TARGET_LOW = -0.9
@@ -24,6 +24,11 @@ TARGET_LOW = -0.9
 # saturated tanh outputs keep its loss finite: targets of +-0.9 need
 # pre-activations near 1.5, and tanh is exactly +-1 in float64 beyond ~19.
 DIVERGENCE_WEIGHT_BOUND = 1e3
+
+
+def _is_count(value) -> bool:
+    """Whether `value` is an integer >= 1 (a bool is not)."""
+    return _is_seed(value) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,12 @@ class TrainConfig:
                 f"learning rate must be finite and positive, got {self.eta!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer))
-                    and not isinstance(value, bool) and value >= 1):
+            if not _is_count(value):
                 raise ValueError(
                     f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_seed(self.seed):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,12 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
     DIVERGENCE_WEIGHT_BOUND) aborts with a diagnostic.
     """
     dims = tuple(dims)
+    if len(dims) < 2:
+        raise ValueError(f"dims must hold at least two layer widths, got {dims!r}")
+    for k, width in enumerate(dims):
+        if not _is_count(width):
+            raise ValueError(f"dims entries must be integers >= 1; entry {k} "
+                             f"is {width!r}")
     x = dataset.features
     if dims[0] != x.shape[1]:
         raise ValueError(f"dims {dims} do not match {x.shape[1]} features")

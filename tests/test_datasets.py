@@ -174,6 +174,21 @@ class TestScaling:
             apply_scaling(data, data)
 
 
+class TestLabels:
+    @pytest.mark.parametrize("labels, message", [
+        ([0.0, 0.5, 1.5], r"label 1 is 0.5"),
+        ([1.0, np.nan], r"label 1 is nan"),
+        ([np.inf, 0.0], r"label 0 is inf")])
+    def test_refuses_fractional_or_non_finite(self, labels, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(np.zeros((len(labels), 1)), np.array(labels), n_classes=2)
+
+    def test_whole_float_labels_become_integers(self):
+        data = Dataset(np.zeros((2, 1)), np.array([1.0, 0.0]), n_classes=2)
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [1, 0]
+
+
 class TestSplit:
     @staticmethod
     def numbered(n):
@@ -192,6 +207,12 @@ class TestSplit:
         rows = np.concatenate([first.features[:, 0], rest.features[:, 0]])
         assert sorted(rows) == list(range(10))
         assert np.array_equal(first.labels, first.features[:, 0].astype(int) % 2)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_refuses_bad_seed(self, seed):
+        with pytest.raises(DataError, match=rf"seed must be a non-negative "
+                                            rf"integer, got {seed!r}"):
+            split_dataset(self.numbered(10), 3, seed=seed)
 
     def test_seeded_determinism(self):
         a, _ = split_dataset(self.numbered(50), 20, seed=7)

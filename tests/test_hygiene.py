@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no settings read from the environment,
-no thread started, and every declared script resolves."""
+no thread started, scipy kept to the LP solver, every declared script
+resolves, and every function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "mtjsc").glob("*.py"))
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv"}
 
 
@@ -124,3 +126,41 @@ def test_stream_forward_starts_no_thread():
         "assert out.shape == (10,)",
         "assert threading.active_count() == 1, threading.enumerate()",
     ])
+
+
+def test_only_the_lp_solver_imports_scipy():
+    """Importing every other module leaves scipy out of the process."""
+    run_script([
+        "import importlib, sys",
+        *(f"importlib.import_module('mtjsc.{path.stem}')" for path in MODULES
+          if path.stem not in ("__init__", "lp")),
+        "assert 'scipy' not in sys.modules",
+    ])
+
+
+def trace_targets(source: str) -> tuple[list[str], list[str]]:
+    """The `mtjsc` modules a workloads file imports, and its TRACE_TARGETS."""
+    modules, targets = [], []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module == "mtjsc":
+            modules.extend(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "TRACE_TARGETS"
+                      for t in node.targets)):
+            targets.extend(ast.literal_eval(node.value))
+    return modules, targets
+
+
+def test_benchmark_trace_targets_exist():
+    """Every module the benchmark imports from `mtjsc`, and every
+    `module.function` it traces, exists; a missing one drops the traced
+    run's per-layer metrics."""
+    modules, targets = trace_targets(WORKLOADS.read_text())
+    assert modules and targets
+    for name in modules:
+        importlib.import_module(f"mtjsc.{name}")
+    for target in targets:
+        module_name, _, function = target.partition(".")
+        assert module_name in modules, f"{target}: module not imported"
+        module = importlib.import_module(f"mtjsc.{module_name}")
+        assert callable(getattr(module, function, None)), f"{target} is missing"

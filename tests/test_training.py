@@ -124,9 +124,28 @@ class TestTrainBackprop:
                                  rf"got {value!r}"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "a"])
+    def test_config_refuses_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be a non-negative "
+                                             rf"integer, got {seed!r}"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("dims, message", [
+        ((2,), r"at least two layer widths, got \(2,\)"),
+        ((), r"at least two layer widths, got \(\)"),
+        ((2, 2.5), r"entry 1 is 2.5"),
+        ((2, -1, 2), r"entry 1 is -1"),
+        ((2, 0, 2), r"entry 1 is 0"),
+        ((2, True), r"entry 1 is True")],
+        ids=["one width", "no width", "fraction", "negative", "zero", "bool"])
+    def test_dims_refused_by_entry(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            train_backprop(dims, toy_dataset(), TrainConfig(epochs=1))
+
     def test_config_takes_numpy_integers(self):
-        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4))
-        assert (cfg.epochs, cfg.batch_size) == (3, 4)
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4),
+                          seed=np.uint8(2))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 4, 2)
 
     def test_divergence_detected(self):
         data = blob_dataset()
