@@ -167,10 +167,14 @@ def load_csv_dataset(path, schema: CsvSchema) -> Dataset:
             labels.append(schema.label_map[raw_label])
         else:
             try:
-                labels.append(int(float(raw_label)))
+                label = float(raw_label)
             except ValueError:
                 raise DataError(f"{path}:{ln_no}: unparsable label "
                                 f"{raw_label!r}") from None
+            if _label_problem(np.array([label])):
+                raise DataError(f"{path}:{ln_no}: label {raw_label!r} is "
+                                "not a whole number")
+            labels.append(int(label))
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+import numpy as np
+
 MU_B = 9.274009994e-24  # J/T
 E_CHARGE = 1.602176634e-19  # C
 
@@ -127,8 +129,8 @@ class SwitchingModel:
 
 
 def _check_time(name: str, t: float) -> None:
-    """Reject a pulse width or time that is negative or not finite: adaptive
-    Simpson never meets its tolerance on a NaN or infinite interval."""
+    """Reject a pulse width or time that is negative or not finite: the
+    fixed quadrature rule would silently return NaN for it."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {t}")
 
@@ -148,7 +150,7 @@ def _overdrive(params: MtjParams, bias: float, direction: SwitchDirection) -> fl
 
 def _density(params: MtjParams, bias: float, direction: SwitchDirection):
     """The uncalibrated density t -> exp(-delta*s2) * over * s2, where
-    s2 = sin^2((pi/2) * exp(-kappa*t)), with its kappa and overdrive."""
+    s2 = sin^2((pi/2) * exp(-kappa*t)), and its kappa."""
     over = _overdrive(params, bias, direction)
     kappa = params.spin_rate() * over
     half_pi, neg_kappa, neg_delta = 0.5 * math.pi, -kappa, -params.delta
@@ -158,91 +160,59 @@ def _density(params: MtjParams, bias: float, direction: SwitchDirection):
         s2 = sin(half_pi * exp(neg_kappa * t)) ** 2
         return exp(neg_delta * s2) * over * s2
 
-    return density, kappa, over
+    return density, kappa
 
 
-_MAX_DEPTH = 40
+# Six-node Gauss-Legendre rule on [-1, 1] (Golub and Welsch, "Calculation
+# of Gauss quadrature rules", Math. Comp. 23, 1969).
+_GAUSS_RULE = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(6))))
 
 
-def _adaptive_simpson(f, a: float, b: float, fa: float, fb: float,
-                      tol: float) -> float:
-    """Adaptive Simpson quadrature of f over [a, b] with absolute tolerance
-    `tol`, given the endpoint values fa = f(a) and fb = f(b)."""
-    if b <= a:
-        return 0.0
-    fm = f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
+def _gauss(f, a: float, b: float) -> float:
+    """The six-node Gauss-Legendre rule for the integral of f over [a, b]."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total = 0.0
+    for x, w in _GAUSS_RULE:
+        total += w * f(mid + half * x)
+    return half * total
 
 
-def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, eps, depth):
-    xm = 0.5 * (x0 + x2)
-    xl = 0.5 * (x0 + xm)
-    xr = 0.5 * (xm + x2)
-    fl = f(xl)
-    fr = f(xr)
-    left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
-    right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5 * eps
-    return (_simpson_recurse(f, x0, xm, f0, fl, f1, left, half, depth - 1)
-            + _simpson_recurse(f, xm, x2, f1, fr, f2, right, half, depth - 1))
-
-
-# The density is a narrow bump on the kappa*t timescale; splitting the
-# integration range at fixed multiples of 1/kappa keeps the adaptive
-# quadrature from stepping over it.
+# The density is a narrow bump on the kappa*t timescale; cutting the
+# integration range at fixed multiples of 1/kappa keeps each piece smooth
+# enough for one fixed rule.
 _SPLIT_POINTS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 18.0, 25.0)
 
 
-def _integrator(f, kappa: float, tol: float):
-    """t_end -> integral of f over [0, t_end].
-
-    The range is split at 0, at every knot x/kappa below t_end and at
-    t_end, and each segment gets tolerance tol / (number of knots).  A full
-    segment between two knots thus depends only on its index and the knot
-    count: it is integrated once per such pair and reused by later calls of
-    the same integrator.  The last segment, which ends at t_end, is
-    integrated on every call.  Adjacent segments share f at their common
-    knot.
-    """
+def _integrator(f, kappa: float):
+    """t_end -> integral of f over [0, t_end], one `_gauss` rule per piece
+    cut at 0, at the knots x/kappa below t_end and at t_end.  The integral
+    up to each knot is kept once first needed, so a full piece is integrated
+    once per integrator and a call adds only the piece ending at t_end."""
     knots = [0.0] + [x / kappa for x in _SPLIT_POINTS]
-    f_knots = [f(t) for t in knots]
-    segments = {}
+    cumulative = [0.0]
 
     def integral(t_end: float) -> float:
-        if t_end <= 0:
-            return 0.0
-        last = bisect.bisect_left(knots, t_end) - 1
-        n_knots = last + 2
-        seg_tol = tol / n_knots
-        total = 0.0
-        for i in range(last):
-            seg = segments.get((i, n_knots))
-            if seg is None:
-                seg = segments[i, n_knots] = _adaptive_simpson(
-                    f, knots[i], knots[i + 1], f_knots[i], f_knots[i + 1], seg_tol)
-            total += seg
-        return total + _adaptive_simpson(f, knots[last], t_end, f_knots[last],
-                                         f(t_end), seg_tol)
+        last = bisect.bisect_left(knots, t_end, 1) - 1
+        while len(cumulative) <= last:
+            i = len(cumulative)
+            cumulative.append(cumulative[-1] + _gauss(f, knots[i - 1], knots[i]))
+        return cumulative[last] + _gauss(f, knots[last], t_end)
 
     return integral
 
 
 def _cdf_evaluator(params: MtjParams, bias: float, direction: SwitchDirection):
     """The uncalibrated CDF t_end -> integral of the density over [0, t_end],
-    for one (params, bias, direction).  Its segment memo lives as long as
-    the evaluator."""
-    density, kappa, over = _density(params, bias, direction)
-    return _integrator(density, kappa, 1e-9 * max(over, 1.0))
+    for one (params, bias, direction)."""
+    density, kappa = _density(params, bias, direction)
+    return _integrator(density, kappa)
 
 
 def switching_density(t: float, direction: SwitchDirection, bias: float,
                       model: SwitchingModel) -> float:
     """Probability density (1/s) of switching at time t under a pulse."""
     _check_time("t", t)
-    density, _, _ = _density(model.params, bias, direction)
+    density, _ = _density(model.params, bias, direction)
     return model.constant(direction) * density(t)
 
 
@@ -250,8 +220,6 @@ def switching_probability(t_p: float, direction: SwitchDirection, bias: float,
                           model: SwitchingModel) -> float:
     """Cumulative switching probability for a pulse of width t_p, in [0, 1]."""
     _check_time("t_p", t_p)
-    if t_p == 0:
-        return 0.0
     raw = _cdf_evaluator(model.params, bias, direction)(t_p)
     return min(1.0, max(0.0, model.constant(direction) * raw))
 
@@ -260,11 +228,8 @@ def expected_switch_time(t_p: float, direction: SwitchDirection, bias: float,
                          model: SwitchingModel) -> float:
     """Integral of t * pdf(t) over [0, t_p] (unconditional, in seconds)."""
     _check_time("t_p", t_p)
-    if t_p == 0:
-        return 0.0
-    density, kappa, over = _density(model.params, bias, direction)
-    first_moment = _integrator(lambda t: t * density(t), kappa,
-                               1e-9 * max(over * t_p, 1.0))
+    density, kappa = _density(model.params, bias, direction)
+    first_moment = _integrator(lambda t: t * density(t), kappa)
     return model.constant(direction) * first_moment(t_p)
 
 
@@ -314,7 +279,9 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
 
     Solved by bisection to a relative width tolerance of 1e-6, every
     midpoint priced as `switching_probability` prices it, through one CDF
-    evaluator.  Raises if p is not reachable below `max_pulse`.
+    evaluator.  Raises if p is not reachable below `max_pulse`; the CDF
+    levels off below 1 (AP->P near 0.999985 for the default model), so a p
+    above that level is refused.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .network import _is_seed
+
 FEAS_TOL = 1e-7
 
 
@@ -91,6 +93,9 @@ def _max_violation(problem: LpProblem, x: np.ndarray) -> float:
 def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
     """HiGHS dual simplex, with at most `max_iter` iterations if given;
     deterministic given the problem."""
+    if max_iter is not None and not _is_seed(max_iter):
+        raise ValueError(f"max_iter must be None or an integer >= 0, "
+                         f"got {max_iter!r}")
     res = linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
                   bounds=np.column_stack([problem.lower, problem.upper]),
                   method="highs-ds", options={"maxiter": max_iter})

@@ -235,8 +235,9 @@ def bit_period(kind: SngKind, cost_model: SngCostModel) -> float:
 def mean_energy_per_bit(kind: SngKind, cost_model: SngCostModel,
                         grid_points: int = 201) -> float:
     """Average of energy_per_bit over p uniform on [0, 1] (trapezoid rule)."""
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if (not isinstance(grid_points, (int, np.integer))
+            or isinstance(grid_points, bool) or grid_points < 2):
+        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
     ps = np.linspace(0.0, 1.0, grid_points)
     es = np.array([energy_per_bit(p, kind, cost_model) for p in ps])
     return float(np.trapezoid(es, ps))

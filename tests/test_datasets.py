@@ -135,11 +135,18 @@ class TestCsv:
 
     @pytest.mark.parametrize("column", [2, -3])
     def test_row_too_short_for_label_index(self, tmp_path, column):
-        path = write_text(tmp_path, "t.csv", "0.1,0.2,1\n0.3,1\n")
+        path = write_text(tmp_path, "t.csv", "0,0.2,1\n0.3,1\n")
         schema = CsvSchema(label_column=column, n_classes=2)
         with pytest.raises(DataError, match=rf"t.csv:2: 2 cells, too few for "
                                             rf"label column {column}$"):
             load_csv_dataset(path, schema)
+
+    @pytest.mark.parametrize("cell", ["1.5", "inf", "nan"])
+    def test_label_not_a_whole_number(self, tmp_path, cell):
+        path = write_text(tmp_path, "t.csv", f"0.1,0.2,1\n0.3,0.4,{cell}\n")
+        with pytest.raises(DataError, match=rf"t.csv:2: label '{cell}' is not "
+                                            rf"a whole number"):
+            load_csv_dataset(path, CsvSchema(n_classes=2))
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty file"):

@@ -1,23 +1,21 @@
 """Tests for the MTJ switching model against its calibration anchors.
 
-The quadrature oracle used throughout is plain trapezoidal integration of
-`switching_density` on a fine uniform grid, independent of the adaptive
-scheme inside the module.  `TestExactReference` also pins the module's
-quadrature bit for bit against the slow form it replaced (the `ref_*`
-functions below).
+The coarse oracle is plain trapezoidal integration of `switching_density`
+on a fine uniform grid.  `TestExactReference` gates the module's fixed
+quadrature rule against a high-precision one (`quad_integral` below).
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mtjsc import device
 from mtjsc.device import (
     DEFAULT_MAX_PULSE,
     MtjParams,
     SwitchDirection,
-    SwitchingModel,
     calibrate,
     calibrate_direction,
     calibrate_direction_to_energy,
@@ -53,12 +51,10 @@ def trapezoid_first_moment(t_p, direction, bias, model, steps=10_000):
     return np.trapezoid(dens, ts)
 
 
-# Slow exact reference: the quadrature as it stood before the module's CDF
-# evaluator.  Every CDF re-derives the density, runs a fresh adaptive
-# Simpson per segment with fresh endpoint values and keeps no memo; the
-# bisection prices every midpoint through the full CDF.
-
-REF_SPLIT_POINTS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 18.0, 25.0)
+# High-precision reference, independent of the module's fixed rule:
+# scipy's adaptive quadrature on each knot piece at a relative tolerance of
+# 1e-13, the pieces summed exactly.  Against 30-digit mpmath it is within
+# 4e-14.
 
 
 def ref_density(t, kappa, over, delta):
@@ -67,128 +63,56 @@ def ref_density(t, kappa, over, delta):
     return math.exp(-delta * s2) * over * s2
 
 
-def ref_adaptive_simpson(f, a, b, tol, max_depth=40):
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * eps
-        return (recurse(x0, xm, f0, fl, f1, left, half, depth - 1)
-                + recurse(xm, x2, f1, fr, f2, right, half, depth - 1))
-
-    if b <= a:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def ref_integrate(f, t_end, kappa, tol):
-    if t_end <= 0:
-        return 0.0
-    knots = [0.0] + [x / kappa for x in REF_SPLIT_POINTS if x / kappa < t_end]
-    knots.append(t_end)
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        total += ref_adaptive_simpson(f, lo, hi, tol / len(knots))
-    return total
-
-
 def ref_kappa_over(params, bias, direction):
     over = params.current_density(bias, direction) - params.jc0(direction)
     return params.spin_rate() * over, over
 
 
-def ref_raw_cdf(params, t_end, bias, direction):
+def quad_integral(params, t_end, bias, direction, moment=0):
+    """Integral of t**moment times the uncalibrated density over [0, t_end]."""
     kappa, over = ref_kappa_over(params, bias, direction)
-    f = lambda t: ref_density(t, kappa, over, params.delta)
-    return ref_integrate(f, t_end, kappa, 1e-9 * max(over, 1.0))
+    knots = [0.0] + [x / kappa for x in device._SPLIT_POINTS if x / kappa < t_end]
+    knots.append(t_end)
+    f = lambda t: t ** moment * ref_density(t, kappa, over, params.delta)
+    return math.fsum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for lo, hi in zip(knots[:-1], knots[1:]))
 
 
-def ref_probability(t_p, direction, bias, model):
-    if t_p == 0:
-        return 0.0
-    raw = ref_raw_cdf(model.params, t_p, bias, direction)
+def quad_probability(t_p, direction, bias, model):
+    raw = quad_integral(model.params, t_p, bias, direction)
     return min(1.0, max(0.0, model.constant(direction) * raw))
 
 
-def ref_switch_time(t_p, direction, bias, model):
-    if t_p == 0:
-        return 0.0
-    params = model.params
-    kappa, over = ref_kappa_over(params, bias, direction)
-    f = lambda t: t * ref_density(t, kappa, over, params.delta)
-    raw = ref_integrate(f, t_p, kappa, 1e-9 * max(over * t_p, 1.0))
-    return model.constant(direction) * raw
-
-
-def ref_write_energy(t_p, direction, bias, model):
+def quad_write_energy(t_p, direction, bias, model):
     params = model.params
     i_start = bias / params.start_resistance(direction)
     i_end = bias / params.end_resistance(direction)
-    p_sw = ref_probability(t_p, direction, bias, model)
-    e_t = ref_switch_time(t_p, direction, bias, model)
+    p_sw = quad_probability(t_p, direction, bias, model)
+    e_t = model.constant(direction) * quad_integral(params, t_p, bias, direction, 1)
     e_sw = bias * (i_start * e_t + i_end * (t_p - e_t))
-    e_nsw = bias * i_start * t_p
-    return p_sw * e_sw + (1.0 - p_sw) * e_nsw
+    return p_sw * e_sw + (1.0 - p_sw) * bias * i_start * t_p
 
 
-def ref_pulse_width(p, direction, bias, model, max_pulse=DEFAULT_MAX_PULSE):
-    if p == 0.0:
-        return 0.0
-    lo, hi = 0.0, max_pulse
-    if ref_probability(hi, direction, bias, model) < p:
-        return None
+def quad_pulse_width(p, direction, bias, model):
+    """Bisection on the reference CDF, to the module's width tolerance."""
+    lo, hi = 0.0, DEFAULT_MAX_PULSE
+    assert quad_probability(hi, direction, bias, model) >= p
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        if ref_probability(mid, direction, bias, model) < p:
+        if quad_probability(mid, direction, bias, model) < p:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def ref_default_constants():
-    """default_model's two constants and its P->AP anchor time."""
-    params = MtjParams()
-    v = params.v_write
-    t_ap, p_anchor = device.AP2P_ANCHOR
-    c_ap = p_anchor / ref_raw_cdf(params, t_ap, v, AP2P)
-
-    def model_at(t_anchor):
-        c_p = p_anchor / ref_raw_cdf(params, t_anchor, v, P2AP)
-        return SwitchingModel(params, {AP2P: c_ap, P2AP: c_p})
-
-    def energy_at(t_anchor):
-        return ref_write_energy(t_anchor, P2AP, v, model_at(t_anchor))
-
-    lo, hi = 0.5e-9, 6e-9
-    assert energy_at(lo) < device.P2AP_ENERGY_ANCHOR < energy_at(hi)
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if energy_at(mid) < device.P2AP_ENERGY_ANCHOR:
-            lo = mid
-        else:
-            hi = mid
-    t_anchor = 0.5 * (lo + hi)
-    return model_at(t_anchor).norm_constant, t_anchor
-
-
 def knot_grid(params, direction, bias=V_WRITE):
-    """Every knot x/kappa, one ulp either side of it, 1e-15 s and the
-    default maximum pulse, in increasing order."""
+    """Every knot x/kappa, one ulp either side of it, 1e-15 s, 60 geometric
+    points from 0.2 to 20 ns and the default maximum pulse, in increasing
+    order."""
     kappa, _ = ref_kappa_over(params, bias, direction)
-    grid = [1e-15, DEFAULT_MAX_PULSE]
-    for x in REF_SPLIT_POINTS:
+    grid = [1e-15, DEFAULT_MAX_PULSE] + list(np.geomspace(0.2e-9, 20e-9, 60))
+    for x in device._SPLIT_POINTS:
         t = x / kappa
         grid += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
     return sorted(grid)
@@ -404,16 +328,15 @@ class TestParams:
 
 
 class TestExactReference:
-    """The CDF evaluator, its segment memo and shared knots reproduce the
-    slow quadrature exactly (==), in both directions."""
+    """The module's CDF, first moment, pulse widths and calibration against
+    the high-precision quadrature reference, in both directions."""
 
-    PROBABILITIES = (1e-6, 0.01, 0.25, 0.5, 0.75, 0.999, 1 - 1e-9)
+    GEOMETRIC = np.geomspace(0.2e-9, 20e-9, 60)
 
     @staticmethod
     def bias_for(params, direction, overdrive):
-        """V_WRITE, or a bias just above the switching threshold.  Only there
-        does the quadrature tolerance bind, so only there does a full
-        segment's integral depend on the knot count."""
+        """V_WRITE, or a bias just above the switching threshold, where every
+        pulse up to 20 ns ends deep inside the first knot piece."""
         if overdrive == "v_write":
             return V_WRITE
         threshold = params.jc0(direction) * params.start_resistance(direction) \
@@ -423,57 +346,87 @@ class TestExactReference:
     @pytest.mark.parametrize("overdrive", ["v_write", "near_threshold"])
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_cdf_on_knot_grid(self, model, direction, overdrive):
-        bias = self.bias_for(model.params, direction, overdrive)
-        grid = knot_grid(model.params, direction, bias)
-        expected = {t: ref_raw_cdf(model.params, t, bias, direction)
-                    for t in grid}
-        # One evaluator per order, so the memo is filled both ways.
+        params = model.params
+        bias = self.bias_for(params, direction, overdrive)
+        grid = knot_grid(params, direction, bias)
+        # One evaluator per order, so the running knot integrals are filled
+        # both ways.
+        values = []
         for order in (grid, grid[::-1]):
-            cdf = device._cdf_evaluator(model.params, bias, direction)
-            assert [cdf(t) for t in order] == [expected[t] for t in order]
+            cdf = device._cdf_evaluator(params, bias, direction)
+            values.append({t: cdf(t) for t in order})
+        assert values[0] == values[1]
         for t in grid:
-            assert switching_probability(t, direction, bias, model) == \
-                ref_probability(t, direction, bias, model)
+            got = switching_probability(t, direction, bias, model)
+            assert abs(got - quad_probability(t, direction, bias, model)) <= 1e-6
+        if overdrive == "near_threshold":
+            for t in self.GEOMETRIC:
+                expected = quad_integral(params, t, bias, direction)
+                assert values[0][t] == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("overdrive", ["v_write", "near_threshold"])
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_expected_switch_time_on_knot_grid(self, model, direction, overdrive):
-        bias = self.bias_for(model.params, direction, overdrive)
-        for t in knot_grid(model.params, direction, bias):
+        params = model.params
+        bias = self.bias_for(params, direction, overdrive)
+        if overdrive == "v_write":
+            grid, rel = [t for t in knot_grid(params, direction) if t >= 0.5e-9], 5e-5
+        else:
+            grid, rel = self.GEOMETRIC, 1e-12
+        c = model.constant(direction)
+        for t in grid:
+            expected = c * quad_integral(params, t, bias, direction, 1)
             assert expected_switch_time(t, direction, bias, model) == \
-                ref_switch_time(t, direction, bias, model)
+                pytest.approx(expected, rel=rel, abs=0)
 
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_pulse_widths(self, model, direction):
-        for p in self.PROBABILITIES:
-            expected = ref_pulse_width(p, direction, V_WRITE, model)
-            assert expected is not None
-            assert pulse_width_for_probability(
-                p, direction, V_WRITE, model) == expected
+        # The AP->P CDF levels off below 1 - 1e-9 (test_ap_to_p_saturation).
+        saturated = (1 - 1e-9,) if direction is P2AP else ()
+        for p in (1e-6, 0.01, 0.25, 0.5, 0.75, 0.999) + saturated:
+            expected = quad_pulse_width(p, direction, V_WRITE, model)
+            assert pulse_width_for_probability(p, direction, V_WRITE, model) == \
+                pytest.approx(expected, rel=1e-5)
+
+    def test_ap_to_p_saturation(self, model):
+        """The AP->P probability levels off near 0.999985, so 1 - 1e-9 is
+        refused rather than met at a width set by quadrature error."""
+        level = quad_probability(DEFAULT_MAX_PULSE, AP2P, V_WRITE, model)
+        assert 0.999 < level < 1 - 1e-6
+        with pytest.raises(ValueError, match="not reachable below 20 ns"):
+            pulse_width_for_probability(1 - 1e-9, AP2P, V_WRITE, model)
 
     def test_default_model_constants(self, model):
-        constants, t_anchor = ref_default_constants()
-        assert model.norm_constant == constants
-        assert model.anchors[-1][0] == t_anchor
+        """The reference CDF and energy pass through both anchors."""
+        t_ap, p_anchor = device.AP2P_ANCHOR
+        assert abs(quad_probability(t_ap, AP2P, V_WRITE, model) - p_anchor) <= 1e-6
+        t_anchor = model.anchors[-1][0]
+        assert abs(quad_probability(t_anchor, P2AP, V_WRITE, model)
+                   - p_anchor) <= 1e-6
+        assert quad_write_energy(t_anchor, P2AP, V_WRITE, model) == \
+            pytest.approx(device.P2AP_ENERGY_ANCHOR, rel=1e-6)
 
     def test_cost_model_fields(self, model):
         params = model.params
         v = params.v_write
-        t_reset = ref_pulse_width(WRITE_PROBABILITY_CAP, P2AP, v, model)
-        t_max = ref_pulse_width(WRITE_PROBABILITY_CAP, AP2P, v, model)
-        t_bms = ref_pulse_width(0.5, AP2P, v, model)
+        t_reset = quad_pulse_width(WRITE_PROBABILITY_CAP, P2AP, v, model)
+        t_max = quad_pulse_width(WRITE_PROBABILITY_CAP, AP2P, v, model)
+        t_bms = quad_pulse_width(0.5, AP2P, v, model)
         cost = build_cost_model(model)
         assert cost.switching is model
         assert cost.mux_inv_energy == DEFAULT_MUX_INV_ENERGY
-        assert cost.reset_energy == ref_write_energy(t_reset, P2AP, v, model)
+        assert cost.reset_energy == pytest.approx(
+            quad_write_energy(t_reset, P2AP, v, model), rel=1e-5)
         assert cost.read_energy == params.v_read ** 2 / params.r_p * params.t_read
-        assert cost.bit_period_normal == params.t_reset + t_max + params.t_read
-        assert cost.bit_period_bms == params.t_reset + t_bms + params.t_read
+        assert cost.bit_period_normal == pytest.approx(
+            params.t_reset + t_max + params.t_read, rel=1e-5)
+        assert cost.bit_period_bms == pytest.approx(
+            params.t_reset + t_bms + params.t_read, rel=1e-5)
 
 
 class TestRejectsBadTimes:
-    """NaN or infinite times are refused by name; they used to hang the
-    adaptive quadrature at its depth limit."""
+    """NaN or infinite times are refused by name; the fixed quadrature rule
+    would turn them into NaN."""
 
     BAD = [math.nan, math.inf, -math.inf, -1e-9]
 

@@ -51,6 +51,13 @@ class TestBasics:
                        max_iter=2)
         assert sol.status is LpStatus.ITERATION_LIMIT
 
+    @pytest.mark.parametrize("max_iter", [-1, 1.5, True])
+    def test_max_iter_refused(self, max_iter):
+        problem = LpProblem(c=[1.0], upper=[1.0])
+        with pytest.raises(ValueError, match=rf"max_iter must be None or an "
+                                             rf"integer >= 0, got {max_iter}"):
+            solve_lp(problem, max_iter=max_iter)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LpProblem(c=[np.inf])
@@ -92,7 +99,8 @@ class TestAgainstReferenceSolver:
             assert sol.status is LpStatus.INFEASIBLE
 
     def test_degenerate_instances(self):
-        """Redundant rows and ties exercise the anti-cycling fallback."""
+        """Zero rows, ties and degenerate vertices: the wrapper's status,
+        objective and certificate against linprog(method="highs")."""
         rng = np.random.default_rng(1)
         for _ in range(60):
             n = int(rng.integers(2, 10))

@@ -178,6 +178,13 @@ class TestAveragePower:
         with pytest.raises(ValueError, match=f"got {grid_points}"):
             mean_energy_per_bit(BMS, cost_model, grid_points=grid_points)
 
+    @pytest.mark.parametrize("grid_points", [2.5, 3.0])
+    def test_mean_energy_refuses_non_integer_grid_points(self, cost_model,
+                                                         grid_points):
+        with pytest.raises(ValueError, match=rf"grid_points must be an integer "
+                                             rf">= 2, got {grid_points}"):
+            mean_energy_per_bit(BMS, cost_model, grid_points=grid_points)
+
     def test_power_is_energy_over_period(self, cost_model):
         for kind in (NORMAL, BMS):
             assert average_power(kind, cost_model) == pytest.approx(
