@@ -87,11 +87,14 @@ def load_mnist(path_images, path_labels) -> Dataset:
     if images.shape[0] != labels.shape[0]:
         raise DataError(f"image/label count mismatch: "
                         f"{images.shape[0]} vs {labels.shape[0]}")
-    flat = images.reshape(images.shape[0], -1).astype(float)
-    features = 2.0 * flat / 255.0 - 1.0
+    # 2 * pixel / 255 - 1, in place, so loading holds one float copy.
+    features = images.reshape(images.shape[0], -1).astype(float)
+    features *= 2.0
+    features /= 255.0
+    features -= 1.0
     return Dataset(features, labels.astype(np.int64), n_classes=10,
-                   scaling_lo=np.zeros(flat.shape[1]),
-                   scaling_hi=np.full(flat.shape[1], 255.0))
+                   scaling_lo=np.zeros(features.shape[1]),
+                   scaling_hi=np.full(features.shape[1], 255.0))
 
 
 def downscale_14x14(dataset: Dataset) -> Dataset:
@@ -99,7 +102,12 @@ def downscale_14x14(dataset: Dataset) -> Dataset:
     if dataset.n_features != 784:
         raise DataError("downscale_14x14 expects 784-feature rows")
     imgs = dataset.features.reshape(-1, 28, 28)
-    pooled = imgs.reshape(-1, 14, 2, 14, 2).mean(axis=(2, 4))
+    # The mean over each 2x2 block in numpy's own pairwise order for
+    # mean(axis=(2, 4)) of the (-1, 14, 2, 14, 2) view, so bit for bit the
+    # same, without its slow strided reduction.
+    top, bottom = imgs[:, 0::2], imgs[:, 1::2]
+    pooled = ((top[..., 0::2] + top[..., 1::2])
+              + (bottom[..., 0::2] + bottom[..., 1::2])) / 4
     flat = pooled.reshape(-1, 196)
     return replace(dataset, features=flat,
                    scaling_lo=None if dataset.scaling_lo is None
@@ -174,6 +182,10 @@ def load_csv_dataset(path, schema: CsvSchema) -> Dataset:
             if _label_problem(np.array([label])):
                 raise DataError(f"{path}:{ln_no}: label {raw_label!r} is "
                                 "not a whole number")
+            bound = schema.n_classes or np.iinfo(np.int64).max + 1
+            if not 0 <= label < bound:
+                raise DataError(f"{path}:{ln_no}: label {raw_label!r} is "
+                                f"outside [0, {bound})")
             labels.append(int(label))
     widths = {len(r) for r in rows}
     if len(widths) != 1:

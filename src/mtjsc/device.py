@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -123,9 +123,31 @@ class SwitchingModel:
     params: MtjParams
     norm_constant: dict[SwitchDirection, float]
     anchors: tuple = ()
+    # (bias, direction) -> (CDF, first-moment) integrators, filled by
+    # _integrators; the knot integrals depend on neither constant nor pulse.
+    _integrals: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def constant(self, direction: SwitchDirection) -> float:
         return self.norm_constant[direction]
+
+    def _integrators(self, bias: float, direction: SwitchDirection):
+        """The uncalibrated CDF and first-moment integrators of one
+        (bias, direction), built once per model from one density.  Threads
+        that miss together each build a pair; the last one kept is as good
+        as any other."""
+        pair = self._integrals.get((bias, direction))
+        if pair is None:
+            density, kappa = _density(self.params, bias, direction)
+            pair = (_integrator(density, kappa),
+                    _integrator(lambda t: t * density(t), kappa))
+            self._integrals[(bias, direction)] = pair
+        return pair
+
+    def __getstate__(self):
+        # The integrators are closures, which pickle cannot carry; a copy
+        # builds its own.
+        return {**self.__dict__, "_integrals": {}}
 
 
 def _check_time(name: str, t: float) -> None:
@@ -187,16 +209,26 @@ def _integrator(f, kappa: float):
     """t_end -> integral of f over [0, t_end], one `_gauss` rule per piece
     cut at 0, at the knots x/kappa below t_end and at t_end.  The integral
     up to each knot is kept once first needed, so a full piece is integrated
-    once per integrator and a call adds only the piece ending at t_end."""
+    once per integrator and a call adds only the piece ending at t_end.
+
+    Calls may come from several threads: the kept prefix is extended on a
+    local copy and published whole, as a new tuple, so no call reads a
+    prefix that another is still extending.  Every copy holds the same sums
+    in the same order, so a shorter one published late loses work, never
+    accuracy."""
     knots = [0.0] + [x / kappa for x in _SPLIT_POINTS]
-    cumulative = [0.0]
+    cumulative = (0.0,)
 
     def integral(t_end: float) -> float:
+        nonlocal cumulative
         last = bisect.bisect_left(knots, t_end, 1) - 1
-        while len(cumulative) <= last:
-            i = len(cumulative)
-            cumulative.append(cumulative[-1] + _gauss(f, knots[i - 1], knots[i]))
-        return cumulative[last] + _gauss(f, knots[last], t_end)
+        prefix = cumulative
+        if len(prefix) <= last:
+            grown = list(prefix)
+            for i in range(len(prefix), last + 1):
+                grown.append(grown[-1] + _gauss(f, knots[i - 1], knots[i]))
+            prefix = cumulative = tuple(grown)
+        return prefix[last] + _gauss(f, knots[last], t_end)
 
     return integral
 
@@ -220,16 +252,15 @@ def switching_probability(t_p: float, direction: SwitchDirection, bias: float,
                           model: SwitchingModel) -> float:
     """Cumulative switching probability for a pulse of width t_p, in [0, 1]."""
     _check_time("t_p", t_p)
-    raw = _cdf_evaluator(model.params, bias, direction)(t_p)
-    return min(1.0, max(0.0, model.constant(direction) * raw))
+    cdf, _ = model._integrators(bias, direction)
+    return min(1.0, max(0.0, model.constant(direction) * cdf(t_p)))
 
 
 def expected_switch_time(t_p: float, direction: SwitchDirection, bias: float,
                          model: SwitchingModel) -> float:
     """Integral of t * pdf(t) over [0, t_p] (unconditional, in seconds)."""
     _check_time("t_p", t_p)
-    density, kappa = _density(model.params, bias, direction)
-    first_moment = _integrator(lambda t: t * density(t), kappa)
+    _, first_moment = model._integrators(bias, direction)
     return model.constant(direction) * first_moment(t_p)
 
 
@@ -278,17 +309,17 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
     """Smallest pulse width whose switching probability equals p.
 
     Solved by bisection to a relative width tolerance of 1e-6, every
-    midpoint priced as `switching_probability` prices it, through one CDF
-    evaluator.  Raises if p is not reachable below `max_pulse`; the CDF
-    levels off below 1 (AP->P near 0.999985 for the default model), so a p
-    above that level is refused.
+    midpoint priced as `switching_probability` prices it, through the
+    model's CDF integrator.  Raises if p is not reachable below
+    `max_pulse`; the CDF levels off below 1 (AP->P near 0.999985 for the
+    default model), so a p above that level is refused.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     _check_time("max_pulse", max_pulse)
     if p == 0.0:
         return 0.0
-    cdf = _cdf_evaluator(model.params, bias, direction)
+    cdf, _ = model._integrators(bias, direction)
     c = model.constant(direction)
 
     def probability(t: float) -> float:

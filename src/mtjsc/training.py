@@ -131,6 +131,13 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
         raise ValueError(f"dims {dims} do not match {x.shape[1]} features")
     if dims[-1] < dataset.n_classes:
         raise ValueError("output layer smaller than the number of classes")
+    if validation is not None:
+        if validation.n_features != dims[0]:
+            raise ValueError(f"validation has {validation.n_features} "
+                             f"features; dims {dims} take {dims[0]}")
+        if validation.labels.size and validation.labels.max() >= dims[-1]:
+            raise ValueError(f"validation label {validation.labels.max()} "
+                             f"has no output among the {dims[-1]} of dims {dims}")
     y = one_hot_targets(dataset.labels, dims[-1])
     rng = np.random.default_rng(config.seed)
     weights = _init_weights(dims, rng)

@@ -148,6 +148,26 @@ class TestCsv:
                                             rf"a whole number"):
             load_csv_dataset(path, CsvSchema(n_classes=2))
 
+    @pytest.mark.parametrize("cell, n_classes, bound", [
+        ("1e300", None, "9223372036854775808"),
+        ("9223372036854775808", None, "9223372036854775808"),
+        ("1e300", 2, "2"),
+        ("2", 2, "2"),
+        ("-1", None, "9223372036854775808"),
+    ])
+    def test_label_out_of_range(self, tmp_path, cell, n_classes, bound):
+        """A whole-number label that no class or no int64 holds is refused
+        by file, line and cell, not by a bare OverflowError."""
+        path = write_text(tmp_path, "t.csv", f"0.1,0.2,1\n0.3,0.4,{cell}\n")
+        with pytest.raises(DataError, match=rf"t.csv:2: label '{cell}' is "
+                                            rf"outside \[0, {bound}\)$"):
+            load_csv_dataset(path, CsvSchema(n_classes=n_classes))
+
+    def test_largest_int64_label_loads(self, tmp_path):
+        path = write_text(tmp_path, "t.csv", "0.1,0.2,9223372036854774784\n")
+        data = load_csv_dataset(path, CsvSchema())
+        assert data.labels.tolist() == [9223372036854774784]
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty file"):
             load_csv_dataset(write_text(tmp_path, "e.csv", "\n"), SONAR_SCHEMA)
@@ -246,6 +266,20 @@ class TestDownscale:
         pooled = downscale_14x14(data)
         assert np.array_equal(pooled.scaling_lo, np.zeros(196))
         assert np.array_equal(pooled.scaling_hi, np.full(196, 255.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_matches_the_two_axis_mean(self, n):
+        """Bit for bit the numpy mean over each 2x2 block, on random pixels
+        and on the pixel extremes 0 and 255."""
+        rng = np.random.default_rng(n)
+        pixels = rng.integers(0, 256, (n, 784)).astype(float)
+        pixels[0, :392], pixels[-1, 392:] = 0.0, 255.0
+        for features in (2.0 * pixels / 255.0 - 1.0,
+                         rng.standard_normal((n, 784))):
+            data = Dataset(features, np.zeros(n, dtype=int), n_classes=1)
+            expected = features.reshape(-1, 14, 2, 14, 2).mean(axis=(2, 4))
+            assert np.array_equal(downscale_14x14(data).features,
+                                  expected.reshape(-1, 196))
 
     def test_rejects_other_widths(self):
         data = Dataset(np.zeros((1, 196)), np.zeros(1, dtype=int), n_classes=1)

@@ -5,7 +5,11 @@ on a fine uniform grid.  `TestExactReference` gates the module's fixed
 quadrature rule against a high-precision one (`quad_integral` below).
 """
 
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +31,13 @@ from mtjsc.device import (
     switching_probability,
     write_energy_split,
 )
-from mtjsc.sng import DEFAULT_MUX_INV_ENERGY, WRITE_PROBABILITY_CAP, build_cost_model
+from mtjsc.sng import (
+    DEFAULT_MUX_INV_ENERGY,
+    WRITE_PROBABILITY_CAP,
+    SngKind,
+    build_cost_model,
+    energy_per_bit,
+)
 
 AP2P = SwitchDirection.AP_TO_P
 P2AP = SwitchDirection.P_TO_AP
@@ -422,6 +432,120 @@ class TestExactReference:
             params.t_reset + t_max + params.t_read, rel=1e-5)
         assert cost.bit_period_bms == pytest.approx(
             params.t_reset + t_bms + params.t_read, rel=1e-5)
+
+
+class TestIntegralTable:
+    """Each model integrates every knot piece once per (bias, direction);
+    the values are the same bit for bit, whatever the model was asked
+    before and whichever thread asks."""
+
+    PROBABILITIES = (1e-6, 0.02, 0.3, 0.5, 0.77, 0.999)
+
+    # float.hex of the values before the model kept its integrals.
+    COST_MODEL = ("0x1.02f4f80b2ead6p-41", "0x1.4e51fcf053ac1p-27",
+                  "0x1.0cb1724bca756p-27")
+    ENERGY_PER_BIT = {
+        SngKind.BMS: ("0x1.f52b181fb7a0ap-43", "0x1.01f9fd5842928p-41",
+                      "0x1.524828560855fp-41", "0x1.c951f67bb4b34p-42",
+                      "0x1.8c633b6c077b0p-43"),
+        SngKind.NORMAL: ("0x1.366c3d353bfe2p-40", "0x1.9fec21dd7d76ap-41",
+                         "0x1.4f7794e534308p-41", "0x1.c3b0cf9a0c686p-42",
+                         "0x1.8120eda8b6e53p-43"),
+    }
+
+    def test_cost_model_bit_for_bit(self):
+        cost = build_cost_model(default_model())
+        assert (cost.reset_energy.hex(), cost.bit_period_normal.hex(),
+                cost.bit_period_bms.hex()) == self.COST_MODEL
+
+    @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
+    def test_energy_per_bit_bit_for_bit(self, kind):
+        cost = build_cost_model(default_model())
+        got = tuple(energy_per_bit(p, kind, cost).hex()
+                    for p in (0.02, 0.3, 0.5, 0.77, 0.999))
+        assert got == self.ENERGY_PER_BIT[kind]
+
+    @staticmethod
+    def values(model, direction, grid, probabilities):
+        """Every table-backed function of `model` on the grid, in order."""
+        return ([switching_probability(t, direction, V_WRITE, model) for t in grid],
+                [expected_switch_time(t, direction, V_WRITE, model) for t in grid],
+                [write_energy_split(t, direction, V_WRITE, model) for t in grid],
+                [pulse_width_for_probability(p, direction, V_WRITE, model)
+                 for p in probabilities])
+
+    @pytest.mark.parametrize("direction", [AP2P, P2AP])
+    def test_values_do_not_depend_on_what_was_asked_before(self, model, direction):
+        grid = knot_grid(model.params, direction)
+        up = list(np.geomspace(0.2e-9, 20e-9, 40))
+        warmed = []
+        for order in (up[::-1], up):
+            warm = dataclasses.replace(model)
+            for t in order:
+                switching_probability(t, direction, V_WRITE, warm)
+                expected_switch_time(t, direction, V_WRITE, warm)
+            warmed.append(self.values(warm, direction, grid, self.PROBABILITIES))
+        # Every value from a model whose table holds nothing yet.
+        fresh = tuple(
+            [fn(t, direction, V_WRITE, dataclasses.replace(model)) for t in grid]
+            for fn in (switching_probability, expected_switch_time,
+                       write_energy_split))
+        fresh += ([pulse_width_for_probability(p, direction, V_WRITE,
+                                               dataclasses.replace(model))
+                   for p in self.PROBABILITIES],)
+        assert warmed[0] == warmed[1] == fresh
+
+    def test_table_is_not_part_of_the_model_value(self):
+        warm, cold = default_model(), default_model()
+        write_energy_split(2e-9, AP2P, V_WRITE, warm)
+        assert set(warm._integrals) == {(V_WRITE, AP2P)} and not cold._integrals
+        assert warm == cold
+        assert repr(warm) == repr(cold) and "_integrals" not in repr(warm)
+        copy = dataclasses.replace(warm)
+        assert copy == warm and copy._integrals == {}
+
+    def test_warm_model_pickles(self):
+        """A cost model, whose build warms its switching model, still
+        pickles; the copy gets an empty table and the same values."""
+        cost = build_cost_model(default_model())
+        copy = pickle.loads(pickle.dumps(cost))
+        assert copy == cost and copy.switching._integrals == {}
+        assert energy_per_bit(0.3, SngKind.BMS, copy) == \
+            energy_per_bit(0.3, SngKind.BMS, cost)
+
+    def test_threads_sharing_a_fresh_model_match_serial_values(self, model):
+        """Two threads extend one fresh table at once, under a switch
+        interval short enough to interleave them inside one knot piece."""
+        grid = np.geomspace(0.2e-9, 20e-9, 12)[::-1]
+
+        def run(shared, out):
+            for direction in (AP2P, P2AP):
+                for t in grid:
+                    out.append(switching_probability(t, direction, V_WRITE, shared))
+                    out.append(expected_switch_time(t, direction, V_WRITE, shared))
+
+        serial = []
+        run(dataclasses.replace(model), serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                shared = dataclasses.replace(model)
+                for direction in (AP2P, P2AP):
+                    # The integrators exist, their knot integrals do not.
+                    shared._integrators(V_WRITE, direction)
+                outs = ([], [])
+                start = threading.Barrier(2)
+                threads = [threading.Thread(target=lambda out=out: (
+                    start.wait(), run(shared, out))) for out in outs]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert outs[0] == serial and outs[1] == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRejectsBadTimes:

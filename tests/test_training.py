@@ -110,6 +110,30 @@ class TestTrainBackprop:
         with pytest.raises(ValueError):
             train_backprop((3, 2), toy_dataset(), TrainConfig())
 
+    @staticmethod
+    def six_feature_dataset(labels, n_features=6, n_classes=2):
+        rng = np.random.default_rng(6)
+        feats = rng.uniform(-1, 1, (len(labels), n_features))
+        return Dataset(feats, np.array(labels), n_classes=n_classes)
+
+    def test_validation_features_must_match(self):
+        """Refused before training, not inside matmul after an epoch."""
+        data = self.six_feature_dataset([0, 1, 0, 1])
+        validation = self.six_feature_dataset([0, 1], n_features=5)
+        with pytest.raises(ValueError, match=r"validation has 5 features; "
+                                             r"dims \(6, 3, 2\) take 6$"):
+            train_backprop((6, 3, 2), data, TrainConfig(epochs=1),
+                           validation=validation)
+
+    def test_validation_labels_must_have_an_output(self):
+        data = self.six_feature_dataset([0, 1, 0, 1])
+        validation = self.six_feature_dataset([0, 2, 1], n_classes=3)
+        with pytest.raises(ValueError, match=r"validation label 2 has no "
+                                             r"output among the 2 of dims "
+                                             r"\(6, 3, 2\)$"):
+            train_backprop((6, 3, 2), data, TrainConfig(epochs=1),
+                           validation=validation)
+
     @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.1])
     def test_config_rejects_bad_eta(self, eta):
         with pytest.raises(ValueError, match=f"got {eta!r}"):
