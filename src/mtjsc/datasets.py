@@ -208,6 +208,9 @@ def apply_scaling(dataset: Dataset, reference: Dataset) -> Dataset:
     """Replay the reference split's affine map on another split."""
     if reference.scaling_lo is None:
         raise DataError("reference dataset carries no scaling parameters")
+    if dataset.n_features != reference.scaling_lo.size:
+        raise DataError(f"dataset has {dataset.n_features} features, but the "
+                        f"reference scaling has {reference.scaling_lo.size}")
     return replace(dataset,
                    features=_scale_to_unit(dataset.features,
                                            reference.scaling_lo,
@@ -218,8 +221,11 @@ def apply_scaling(dataset: Dataset, reference: Dataset) -> Dataset:
 
 def split_dataset(dataset: Dataset, first_size: int, seed) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split into (first, rest)."""
+    if isinstance(first_size, bool) or not isinstance(first_size, (int, np.integer)):
+        raise DataError(f"split size must be an integer, got {first_size!r}")
     if not 0 < first_size < len(dataset):
-        raise DataError("split size must be inside the dataset")
+        raise DataError(f"split size must be inside the dataset of "
+                        f"{len(dataset)} rows, got {first_size}")
     if not _is_seed(seed):
         raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     order = np.random.default_rng(seed).permutation(len(dataset))

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -123,31 +124,9 @@ class SwitchingModel:
     params: MtjParams
     norm_constant: dict[SwitchDirection, float]
     anchors: tuple = ()
-    # (bias, direction) -> (CDF, first-moment) integrators, filled by
-    # _integrators; the knot integrals depend on neither constant nor pulse.
-    _integrals: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def constant(self, direction: SwitchDirection) -> float:
         return self.norm_constant[direction]
-
-    def _integrators(self, bias: float, direction: SwitchDirection):
-        """The uncalibrated CDF and first-moment integrators of one
-        (bias, direction), built once per model from one density.  Threads
-        that miss together each build a pair; the last one kept is as good
-        as any other."""
-        pair = self._integrals.get((bias, direction))
-        if pair is None:
-            density, kappa = _density(self.params, bias, direction)
-            pair = (_integrator(density, kappa),
-                    _integrator(lambda t: t * density(t), kappa))
-            self._integrals[(bias, direction)] = pair
-        return pair
-
-    def __getstate__(self):
-        # The integrators are closures, which pickle cannot carry; a copy
-        # builds its own.
-        return {**self.__dict__, "_integrals": {}}
 
 
 def _check_time(name: str, t: float) -> None:
@@ -233,11 +212,17 @@ def _integrator(f, kappa: float):
     return integral
 
 
-def _cdf_evaluator(params: MtjParams, bias: float, direction: SwitchDirection):
-    """The uncalibrated CDF t_end -> integral of the density over [0, t_end],
-    for one (params, bias, direction)."""
+@functools.cache
+def _integrators(params: MtjParams, bias: float, direction: SwitchDirection):
+    """The uncalibrated CDF and first-moment integrators of one
+    (params, bias, direction), built once from one density.  The knot
+    integrals depend on neither the fitted constant nor the pulse, so every
+    model on equal params, calibration's included, shares one pair.
+    Threads that miss together each build a pair; the last one kept is as
+    good as any other."""
     density, kappa = _density(params, bias, direction)
-    return _integrator(density, kappa)
+    return (_integrator(density, kappa),
+            _integrator(lambda t: t * density(t), kappa))
 
 
 def switching_density(t: float, direction: SwitchDirection, bias: float,
@@ -252,7 +237,7 @@ def switching_probability(t_p: float, direction: SwitchDirection, bias: float,
                           model: SwitchingModel) -> float:
     """Cumulative switching probability for a pulse of width t_p, in [0, 1]."""
     _check_time("t_p", t_p)
-    cdf, _ = model._integrators(bias, direction)
+    cdf, _ = _integrators(model.params, bias, direction)
     return min(1.0, max(0.0, model.constant(direction) * cdf(t_p)))
 
 
@@ -260,7 +245,7 @@ def expected_switch_time(t_p: float, direction: SwitchDirection, bias: float,
                          model: SwitchingModel) -> float:
     """Integral of t * pdf(t) over [0, t_p] (unconditional, in seconds)."""
     _check_time("t_p", t_p)
-    _, first_moment = model._integrators(bias, direction)
+    _, first_moment = _integrators(model.params, bias, direction)
     return model.constant(direction) * first_moment(t_p)
 
 
@@ -310,7 +295,7 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
 
     Solved by bisection to a relative width tolerance of 1e-6, every
     midpoint priced as `switching_probability` prices it, through the
-    model's CDF integrator.  Raises if p is not reachable below
+    shared CDF integrator.  Raises if p is not reachable below
     `max_pulse`; the CDF levels off below 1 (AP->P near 0.999985 for the
     default model), so a p above that level is refused.
     """
@@ -319,7 +304,7 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
     _check_time("max_pulse", max_pulse)
     if p == 0.0:
         return 0.0
-    cdf, _ = model._integrators(bias, direction)
+    cdf, _ = _integrators(model.params, bias, direction)
     c = model.constant(direction)
 
     def probability(t: float) -> float:
@@ -345,7 +330,7 @@ def _fit_constant(params: MtjParams, anchor: tuple) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"anchor probability must be in (0, 1), got {p}")
     _check_time("anchor pulse width", t_p)
-    raw = _cdf_evaluator(params, bias, direction)(t_p)
+    raw = _integrators(params, bias, direction)[0](t_p)
     if raw <= 0.0:
         raise RuntimeError("calibration failed: zero density mass at the anchor")
     return p / raw
@@ -391,6 +376,8 @@ def calibrate_direction_to_energy(model: SwitchingModel, energy: float, p: float
         return expected_write_energy(t_anchor, direction, bias, m)
 
     lo, hi = bracket
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket}")
     e_lo, e_hi = energy_at(lo), energy_at(hi)
     if not e_lo < energy < e_hi:
         raise RuntimeError(

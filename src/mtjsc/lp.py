@@ -68,10 +68,6 @@ class LpProblem:
         if np.any(self.upper < self.lower):
             raise ValueError("upper bounds must be >= lower bounds")
 
-    @property
-    def n_vars(self) -> int:
-        return self.c.size
-
 
 @dataclass
 class LpSolution:

@@ -39,19 +39,6 @@ class StochasticStream:
     def __len__(self) -> int:
         return self.bits.size
 
-    def with_format(self, fmt: Format) -> "StochasticStream":
-        """Reinterpret the same bits under another format."""
-        return StochasticStream(self.bits, fmt)
-
-    def to_text(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
-
-    @classmethod
-    def from_text(cls, text: str, fmt: Format = Format.UNIPOLAR) -> "StochasticStream":
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError("stream text must be a nonempty string of 0s and 1s")
-        return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"), fmt)
-
 
 @dataclass(frozen=True)
 class IntegralStream:

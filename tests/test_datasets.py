@@ -200,6 +200,14 @@ class TestScaling:
         with pytest.raises(DataError, match="no scaling"):
             apply_scaling(data, data)
 
+    def test_apply_refuses_feature_count_mismatch(self):
+        train = fit_scaling(Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int),
+                                    n_classes=1))
+        test = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=int), n_classes=1)
+        with pytest.raises(DataError, match="dataset has 2 features, but the "
+                                            "reference scaling has 3"):
+            apply_scaling(test, train)
+
 
 class TestLabels:
     @pytest.mark.parametrize("labels, message", [
@@ -226,6 +234,16 @@ class TestSplit:
     def test_bounds(self, size):
         with pytest.raises(DataError):
             split_dataset(self.numbered(10), size, seed=0)
+
+    @pytest.mark.parametrize("size", [2.5, True, 3.0, None])
+    def test_refuses_size_that_is_not_a_count(self, size):
+        with pytest.raises(DataError, match=rf"split size must be an integer, "
+                                            rf"got {size!r}"):
+            split_dataset(self.numbered(10), size, seed=0)
+
+    def test_accepts_numpy_integer_size(self):
+        first, _ = split_dataset(self.numbered(10), np.int64(3), seed=0)
+        assert len(first) == 3
 
     def test_partition_and_labels(self):
         first, rest = split_dataset(self.numbered(10), 3, seed=0)

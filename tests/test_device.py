@@ -359,11 +359,12 @@ class TestExactReference:
         params = model.params
         bias = self.bias_for(params, direction, overdrive)
         grid = knot_grid(params, direction, bias)
-        # One evaluator per order, so the running knot integrals are filled
-        # both ways.
+        # A cleared table per order, so the running knot integrals are
+        # filled both ways.
         values = []
         for order in (grid, grid[::-1]):
-            cdf = device._cdf_evaluator(params, bias, direction)
+            device._integrators.cache_clear()
+            cdf, _ = device._integrators(params, bias, direction)
             values.append({t: cdf(t) for t in order})
         assert values[0] == values[1]
         for t in grid:
@@ -435,9 +436,9 @@ class TestExactReference:
 
 
 class TestIntegralTable:
-    """Each model integrates every knot piece once per (bias, direction);
-    the values are the same bit for bit, whatever the model was asked
-    before and whichever thread asks."""
+    """Every knot piece is integrated once per (params, bias, direction),
+    whichever model asks; the values are the same bit for bit, whatever
+    was asked before and whichever thread asks."""
 
     PROBABILITIES = (1e-6, 0.02, 0.3, 0.5, 0.77, 0.999)
 
@@ -465,6 +466,35 @@ class TestIntegralTable:
                     for p in (0.02, 0.3, 0.5, 0.77, 0.999))
         assert got == self.ENERGY_PER_BIT[kind]
 
+    def test_default_model_calibration_bit_for_bit(self):
+        model = default_model()
+        assert model.constant(P2AP).hex() == "0x1.8cfdb0e772c92p+0"
+        assert model.anchors[-1][0].hex() == "0x1.bd7ad3f579d90p-30"
+
+    def test_calibration_integrates_each_piece_once(self, monkeypatch):
+        """The bisection of the P->AP energy anchor reuses one table: a cold
+        default_model() took 444 rules when every step built its own."""
+        calls = []
+        gauss = device._gauss
+        monkeypatch.setattr(device, "_gauss",
+                            lambda f, a, b: calls.append(1) or gauss(f, a, b))
+        device._integrators.cache_clear()
+        default_model()
+        assert len(calls) <= 100
+
+    def test_models_on_equal_params_share_one_table(self):
+        first, second = default_model(), default_model()
+        third = default_model(dataclasses.replace(first.params))
+        assert first.params is not third.params
+        for direction in (AP2P, P2AP):
+            tables = {id(device._integrators(m.params, V_WRITE, direction))
+                      for m in (first, second, third)}
+            assert len(tables) == 1
+        assert first == second == third
+        splits = [write_energy_split(2e-9, P2AP, V_WRITE, m)
+                  for m in (first, second, third)]
+        assert splits[0] == splits[1] == splits[2]
+
     @staticmethod
     def values(model, direction, grid, probabilities):
         """Every table-backed function of `model` on the grid, in order."""
@@ -480,36 +510,30 @@ class TestIntegralTable:
         up = list(np.geomspace(0.2e-9, 20e-9, 40))
         warmed = []
         for order in (up[::-1], up):
-            warm = dataclasses.replace(model)
+            device._integrators.cache_clear()
             for t in order:
-                switching_probability(t, direction, V_WRITE, warm)
-                expected_switch_time(t, direction, V_WRITE, warm)
-            warmed.append(self.values(warm, direction, grid, self.PROBABILITIES))
-        # Every value from a model whose table holds nothing yet.
-        fresh = tuple(
-            [fn(t, direction, V_WRITE, dataclasses.replace(model)) for t in grid]
-            for fn in (switching_probability, expected_switch_time,
-                       write_energy_split))
-        fresh += ([pulse_width_for_probability(p, direction, V_WRITE,
-                                               dataclasses.replace(model))
+                switching_probability(t, direction, V_WRITE, model)
+                expected_switch_time(t, direction, V_WRITE, model)
+            warmed.append(self.values(model, direction, grid, self.PROBABILITIES))
+
+        # Every value from a table that holds nothing yet.
+        def cold(fn, x):
+            device._integrators.cache_clear()
+            return fn(x, direction, V_WRITE, model)
+
+        fresh = tuple([cold(fn, t) for t in grid]
+                      for fn in (switching_probability, expected_switch_time,
+                                 write_energy_split))
+        fresh += ([cold(pulse_width_for_probability, p)
                    for p in self.PROBABILITIES],)
         assert warmed[0] == warmed[1] == fresh
 
-    def test_table_is_not_part_of_the_model_value(self):
-        warm, cold = default_model(), default_model()
-        write_energy_split(2e-9, AP2P, V_WRITE, warm)
-        assert set(warm._integrals) == {(V_WRITE, AP2P)} and not cold._integrals
-        assert warm == cold
-        assert repr(warm) == repr(cold) and "_integrals" not in repr(warm)
-        copy = dataclasses.replace(warm)
-        assert copy == warm and copy._integrals == {}
-
     def test_warm_model_pickles(self):
-        """A cost model, whose build warms its switching model, still
-        pickles; the copy gets an empty table and the same values."""
+        """A cost model, whose build warms the table, pickles as a plain
+        value and prices the same."""
         cost = build_cost_model(default_model())
         copy = pickle.loads(pickle.dumps(cost))
-        assert copy == cost and copy.switching._integrals == {}
+        assert copy == cost
         assert energy_per_bit(0.3, SngKind.BMS, copy) == \
             energy_per_bit(0.3, SngKind.BMS, cost)
 
@@ -525,19 +549,20 @@ class TestIntegralTable:
                     out.append(expected_switch_time(t, direction, V_WRITE, shared))
 
         serial = []
-        run(dataclasses.replace(model), serial)
+        device._integrators.cache_clear()
+        run(model, serial)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(40):
-                shared = dataclasses.replace(model)
+                device._integrators.cache_clear()
                 for direction in (AP2P, P2AP):
                     # The integrators exist, their knot integrals do not.
-                    shared._integrators(V_WRITE, direction)
+                    device._integrators(model.params, V_WRITE, direction)
                 outs = ([], [])
                 start = threading.Barrier(2)
                 threads = [threading.Thread(target=lambda out=out: (
-                    start.wait(), run(shared, out))) for out in outs]
+                    start.wait(), run(model, out))) for out in outs]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
@@ -600,3 +625,14 @@ class TestMessagesNameTheValue:
         for t in (lo, hi):
             m = calibrate_direction(model, (t, 0.999, P2AP, V_WRITE))
             assert f"{expected_write_energy(t, P2AP, V_WRITE, m)} J at {t} s" in message
+
+    @pytest.mark.parametrize("bracket", [(6e-9, 0.5e-9), (0.0, 6e-9),
+                                         (-1e-9, 6e-9), (2e-9, 2e-9),
+                                         (0.5e-9, math.inf),
+                                         (math.nan, 6e-9)])
+    def test_energy_bracket_must_be_ordered_and_finite(self, model, bracket):
+        with pytest.raises(ValueError,
+                           match=rf"bracket must satisfy 0 < lo < hi < inf, "
+                                 rf"got \({bracket[0]}, {bracket[1]}\)"):
+            calibrate_direction_to_energy(model, device.P2AP_ENERGY_ANCHOR,
+                                          0.999, P2AP, V_WRITE, bracket=bracket)
