@@ -39,8 +39,11 @@ class Dataset:
         y = np.ascontiguousarray(self.labels, dtype=np.int64)
         if f.ndim != 2 or y.shape != (f.shape[0],):
             raise DataError("features must be (D, I) with one label per row")
-        if not np.all(np.isfinite(f)):
-            raise DataError("features contain non-finite values")
+        finite = np.isfinite(f)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DataError(f"features must be finite; row {i}, column {j} "
+                            f"is {f[i, j]}")
         if y.size and (y.min() < 0 or y.max() >= self.n_classes):
             raise DataError("labels must lie in [0, n_classes)")
         object.__setattr__(self, "features", f)
@@ -155,6 +158,8 @@ def load_csv_dataset(path, schema: CsvSchema) -> Dataset:
             label_idx = header.index(label_idx)
     elif isinstance(label_idx, str):
         raise DataError("named label column requires a header row")
+    if start == len(lines):
+        raise DataError(f"{path}: no data rows below the header")
     column = (f"{schema.label_column!r} (index {label_idx})"
               if isinstance(schema.label_column, str) else str(label_idx))
     labels = []

@@ -43,6 +43,9 @@ P2AP_ENERGY_ANCHOR = 0.46e-12
 
 DEFAULT_MAX_PULSE = 20e-9
 
+# Pulse widths (s) that `calibrate_direction_to_energy` searches between.
+ENERGY_ANCHOR_BRACKET = (0.5e-9, 6e-9)
+
 
 class SwitchDirection(enum.Enum):
     AP_TO_P = "ap_to_p"
@@ -83,6 +86,23 @@ class MtjParams:
                 raise ValueError(f"{f.name} must be positive, got {value}")
         if self.eta_spin > 1:
             raise ValueError(f"eta_spin must be in (0, 1], got {self.eta_spin}")
+
+    def __hash__(self) -> int:
+        """The generated dataclass hash, kept once per object: `_integrators`
+        hashes params on every lookup, and the generated one builds a tuple
+        of every field each time."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        """The fields alone, so the kept hash is never pickled."""
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def r_p(self) -> float:
@@ -288,20 +308,30 @@ def expected_write_energy(t_p: float, direction: SwitchDirection, bias: float,
     return write_energy_split(t_p, direction, bias, model).expected
 
 
+def _bisect(f, target: float, lo: float, hi: float) -> float:
+    """Bisect [lo, hi] on f(mid) < target to a relative width of 1e-6 and
+    return its midpoint; f is nondecreasing, and callers check the ends."""
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: float,
-                                model: SwitchingModel,
-                                max_pulse: float = DEFAULT_MAX_PULSE) -> float:
+                                model: SwitchingModel) -> float:
     """Smallest pulse width whose switching probability equals p.
 
-    Solved by bisection to a relative width tolerance of 1e-6, every
+    Solved by `_bisect` to a relative width tolerance of 1e-6, every
     midpoint priced as `switching_probability` prices it, through the
     shared CDF integrator.  Raises if p is not reachable below
-    `max_pulse`; the CDF levels off below 1 (AP->P near 0.999985 for the
-    default model), so a p above that level is refused.
+    `DEFAULT_MAX_PULSE`; the CDF levels off below 1 (AP->P near 0.999985
+    for the default model), so a p above that level is refused.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
-    _check_time("max_pulse", max_pulse)
     if p == 0.0:
         return 0.0
     cdf, _ = _integrators(model.params, bias, direction)
@@ -310,18 +340,10 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
     def probability(t: float) -> float:
         return min(1.0, max(0.0, c * cdf(t)))
 
-    lo, hi = 0.0, max_pulse
-    if probability(hi) < p:
-        raise ValueError(
-            f"switching probability {p} not reachable below {max_pulse * 1e9:.3g} ns"
-        )
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if probability(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if probability(DEFAULT_MAX_PULSE) < p:
+        raise ValueError(f"switching probability {p} not reachable below "
+                         f"{DEFAULT_MAX_PULSE * 1e9:.3g} ns")
+    return _bisect(probability, p, 0.0, DEFAULT_MAX_PULSE)
 
 
 def _fit_constant(params: MtjParams, anchor: tuple) -> float:
@@ -361,35 +383,27 @@ def calibrate_direction(model: SwitchingModel, anchor: tuple) -> SwitchingModel:
 
 
 def calibrate_direction_to_energy(model: SwitchingModel, energy: float, p: float,
-                                  direction: SwitchDirection, bias: float,
-                                  bracket: tuple = (0.5e-9, 6e-9)) -> SwitchingModel:
+                                  direction: SwitchDirection,
+                                  bias: float) -> SwitchingModel:
     """Refit one direction so its expected write energy at the probability-p
     pulse width equals `energy`.
 
     Parametrized by the pulse width T at which the CDF reaches p: the
-    direction constant becomes p / raw_cdf(T), and T is solved by bisection
-    so the pulse energy matches.
+    direction constant becomes p / raw_cdf(T), and T is solved by `_bisect`
+    over `ENERGY_ANCHOR_BRACKET` so the pulse energy matches.
     """
 
     def energy_at(t_anchor: float) -> float:
         m = calibrate_direction(model, (t_anchor, p, direction, bias))
         return expected_write_energy(t_anchor, direction, bias, m)
 
-    lo, hi = bracket
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket}")
+    lo, hi = ENERGY_ANCHOR_BRACKET
     e_lo, e_hi = energy_at(lo), energy_at(hi)
     if not e_lo < energy < e_hi:
         raise RuntimeError(
             f"energy anchor {energy} J outside the bracketable range: "
             f"{e_lo} J at {lo} s, {e_hi} J at {hi} s")
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if energy_at(mid) < energy:
-            lo = mid
-        else:
-            hi = mid
-    t_anchor = 0.5 * (lo + hi)
+    t_anchor = _bisect(energy_at, energy, lo, hi)
     return calibrate_direction(model, (t_anchor, p, direction, bias))
 
 

@@ -373,6 +373,7 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
 
     `sample_key` disambiguates the stream randomness between samples
     evaluated under one config; its entries are non-negative integers.
+    Both paths refuse an input outside [-1, 1], naming the first one.
     """
     for k, entry in enumerate(sample_key):
         if not _is_seed(entry):
@@ -381,16 +382,15 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
     x = np.asarray(x, dtype=float)
     if x.shape != (net.dims[0],):
         raise ValueError(f"input shape {x.shape} does not match dims {net.dims}")
-    bad = np.flatnonzero(~np.isfinite(x))
+    bad = np.flatnonzero(~(np.abs(x) <= 1.0))
     if bad.size:
         raise ValueError(f"input {bad[0]} is {float(x[bad[0]])}; inputs must "
-                         "be finite")
+                         "lie in [-1, 1]")
     if config.stream_length is None:
         return network_forward_float(net, x)
     n = config.stream_length
     rng = child_seed(config.seed, 7, *sample_key)
-    thresholds, _, flips = write_thresholds((np.clip(x, -1.0, 1.0) + 1.0) / 2.0,
-                                            config.sng_kind)
+    thresholds, _, flips = write_thresholds((x + 1.0) / 2.0, config.sng_kind)
     bits = ((_uniform_rows(rng, x.size, n) < thresholds[:, None])
             ^ flips[:, None])
     plans = [_layer_plan(layer, config.sng_kind, n) for layer in net.layers]

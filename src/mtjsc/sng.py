@@ -80,8 +80,7 @@ class SngCostModel:
                 f"the normal one, {self.bit_period_normal} s")
 
 
-def build_cost_model(model: SwitchingModel | None = None,
-                     mux_inv_energy: float = DEFAULT_MUX_INV_ENERGY) -> SngCostModel:
+def build_cost_model(model: SwitchingModel | None = None) -> SngCostModel:
     model = model or default_model()
     params = model.params
     v = params.v_write
@@ -99,21 +98,27 @@ def build_cost_model(model: SwitchingModel | None = None,
         switching=model,
         reset_energy=reset_energy,
         read_energy=read_energy,
-        mux_inv_energy=mux_inv_energy,
+        mux_inv_energy=DEFAULT_MUX_INV_ENERGY,
         bit_period_normal=params.t_reset + t_write_max + params.t_read,
         bit_period_bms=params.t_reset + t_write_bms + params.t_read,
     )
 
 
-def write_probability(p: float, kind: SngKind) -> float:
+def _check_kind(kind) -> None:
+    if not isinstance(kind, SngKind):
+        raise TypeError(f"kind must be a SngKind, got {kind!r}")
+
+
+def write_probability(p, kind: SngKind):
     """AP->P switching probability that realizes a stream of value p.
 
-    Scalar only, for the cost path; `write_thresholds` applies the same map
-    to arrays of p and quantizes it for the bit draw.
+    p is a float or an array of values; the one map for energy and bits,
+    which `write_thresholds` quantizes for the bit draw.
     """
+    _check_kind(kind)
     if kind is SngKind.NORMAL:
         return 1.0 - p
-    return min(p, 1.0 - p)
+    return np.minimum(p, 1.0 - p)
 
 
 def _write_split(q: float, cost_model: SngCostModel) -> WriteEnergySplit:
@@ -159,8 +164,7 @@ def write_thresholds(p, kind: SngKind):
     switch.
     """
     p = np.asarray(p, dtype=float)
-    q = 1.0 - p if kind is SngKind.NORMAL else np.minimum(p, 1.0 - p)
-    c = np.rint(q * THRESHOLD_ONE)
+    c = np.rint(write_probability(p, kind) * THRESHOLD_ONE)
     high = c > FAIR_THRESHOLD
     threshold = np.where(high, THRESHOLD_ONE - c, c).astype(np.uint16)
     invert = True if kind is SngKind.NORMAL else p >= 0.5
@@ -179,7 +183,7 @@ def sng_bits(p, n: int, kind: SngKind,
     any n.  A cycle's write switches with probability
     rint(q * 2**16) / 2**16 for q = write_probability(p, kind).  p is not
     validated here: this is the stream path's hot loop, and its callers
-    clip or check p.
+    check p.
     """
     threshold, high, flip = write_thresholds(p, kind)
     below = uniform16(rng, threshold.shape, n) < threshold[..., None]
@@ -227,18 +231,15 @@ def energy_per_bit(p: float, kind: SngKind, cost_model: SngCostModel) -> float:
 
 
 def bit_period(kind: SngKind, cost_model: SngCostModel) -> float:
+    _check_kind(kind)
     if kind is SngKind.NORMAL:
         return cost_model.bit_period_normal
     return cost_model.bit_period_bms
 
 
-def mean_energy_per_bit(kind: SngKind, cost_model: SngCostModel,
-                        grid_points: int = 201) -> float:
-    """Average of energy_per_bit over p uniform on [0, 1] (trapezoid rule)."""
-    if (not isinstance(grid_points, (int, np.integer))
-            or isinstance(grid_points, bool) or grid_points < 2):
-        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
-    ps = np.linspace(0.0, 1.0, grid_points)
+def mean_energy_per_bit(kind: SngKind, cost_model: SngCostModel) -> float:
+    """Trapezoid-rule mean of energy_per_bit over 201 points of p in [0, 1]."""
+    ps = np.linspace(0.0, 1.0, 201)
     es = np.array([energy_per_bit(p, kind, cost_model) for p in ps])
     return float(np.trapezoid(es, ps))
 

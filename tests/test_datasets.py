@@ -172,6 +172,13 @@ class TestCsv:
         with pytest.raises(DataError, match="empty file"):
             load_csv_dataset(write_text(tmp_path, "e.csv", "\n"), SONAR_SCHEMA)
 
+    def test_header_only_file(self, tmp_path):
+        path = write_text(tmp_path, "wine.csv",
+                          '"fixed acidity";"quality";"alcohol"\n')
+        with pytest.raises(DataError, match="wine.csv: no data rows below "
+                                            "the header"):
+            load_csv_dataset(path, WINE_SCHEMA)
+
 
 class TestScaling:
     def test_constant_feature(self):
@@ -207,6 +214,16 @@ class TestScaling:
         with pytest.raises(DataError, match="dataset has 2 features, but the "
                                             "reference scaling has 3"):
             apply_scaling(test, train)
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_feature_named(self, bad):
+        features = np.zeros((3, 2))
+        features[1, 1] = features[2, 0] = bad
+        with pytest.raises(DataError, match=f"features must be finite; "
+                                            f"row 1, column 1 is {bad}"):
+            Dataset(features, np.zeros(3, dtype=int), n_classes=1)
 
 
 class TestLabels:

@@ -186,8 +186,7 @@ def reference_forward(net, x, config, sample_key):
     """The stream path sample by sample, neuron by neuron, input by input."""
     n, kind = config.stream_length, config.sng_kind
     rng = child_seed(config.seed, 7, *sample_key)
-    bits = [sng_bits((xi + 1.0) / 2.0, n, kind, rng)[0]
-            for xi in np.clip(x, -1.0, 1.0)]
+    bits = [sng_bits((xi + 1.0) / 2.0, n, kind, rng)[0] for xi in x]
     for layer in net.layers:
         bits = [reference_neuron(layer.weights[:, j], bits, layer.m_scale,
                                  kind, rng)
@@ -225,7 +224,8 @@ class TestLayerKernel:
         net = self.small_net()
         rng = np.random.default_rng(7)
         for trial in range(4):
-            x = rng.uniform(-1.2, 1.2, 9)
+            # inputs at exactly -1 and 1 as well as inside
+            x = np.clip(rng.uniform(-1.2, 1.2, 9), -1.0, 1.0)
             cfg = EvalConfig(stream_length=128, seed=trial, sng_kind=kind)
             out = network_forward(net, x, cfg, sample_key=(trial,))
             assert np.array_equal(out, reference_forward(net, x, cfg,
@@ -403,13 +403,19 @@ class TestNetworkForward:
             network_forward(net, np.zeros(3), EvalConfig())
 
     @pytest.mark.parametrize("stream_length", [None, 128])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5,
+                                     -1.0000001])
     def test_non_finite_input_rejected(self, stream_length, bad):
-        """Both paths name the first non-finite input and its value."""
+        """Both paths name the first input outside [-1, 1] and its value,
+        and accept exactly -1 and 1."""
         net = self.net_1layer(np.full((4, 2), 0.5))
         x = np.array([0.1, bad, 0.2, bad])
-        with pytest.raises(ValueError, match=f"input 1 is {bad}"):
+        with pytest.raises(ValueError, match=rf"input 1 is {bad}; inputs must "
+                                             rf"lie in \[-1, 1\]"):
             network_forward(net, x, EvalConfig(stream_length=stream_length))
+        x = np.array([1.0, -1.0, 0.2, 1.0])
+        out = network_forward(net, x, EvalConfig(stream_length=stream_length))
+        assert np.all(np.abs(out) <= 1.0)
 
 
 class TestGolden:
@@ -419,7 +425,7 @@ class TestGolden:
     Away from p = 1/2 both kinds map p to the same threshold and flip (BMS
     writes min(p, 1 - p), NORMAL 1 - p), so they deliver the same bits from
     the same uniforms and share the pinned outputs; the float outputs are
-    0.671, 0.248 and 0.018.
+    0.710, 0.229 and 0.168.
     """
 
     NET = NetworkSpec((
@@ -430,7 +436,7 @@ class TestGolden:
         LayerSpec(np.array([[0.6, -0.7, 0.05],
                             [-0.2, 0.8, -0.35],
                             [0.45, 0.1, 0.7]]), 1.5)))
-    X = np.array([0.8, -0.3, 1.4, -0.05])
+    X = np.array([0.8, -0.3, 1.0, -0.05])
 
     @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
     def test_pinned_outputs(self, kind):
