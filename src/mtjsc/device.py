@@ -87,23 +87,6 @@ class MtjParams:
         if self.eta_spin > 1:
             raise ValueError(f"eta_spin must be in (0, 1], got {self.eta_spin}")
 
-    def __hash__(self) -> int:
-        """The generated dataclass hash, kept once per object: `_integrators`
-        hashes params on every lookup, and the generated one builds a tuple
-        of every field each time."""
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self) -> dict:
-        """The fields alone, so the kept hash is never pickled."""
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     @property
     def r_p(self) -> float:
         return self.ra_product / self.cell_area

@@ -485,30 +485,17 @@ class TestIntegralTable:
     def test_models_on_equal_params_share_one_table(self):
         first, second = default_model(), default_model()
         third = default_model(dataclasses.replace(first.params))
+        fourth = default_model(pickle.loads(pickle.dumps(first.params)))
         assert first.params is not third.params
+        assert first.params is not fourth.params
+        models = (first, second, third, fourth)
         for direction in (AP2P, P2AP):
             tables = {id(device._integrators(m.params, V_WRITE, direction))
-                      for m in (first, second, third)}
+                      for m in models}
             assert len(tables) == 1
-        assert first == second == third
-        splits = [write_energy_split(2e-9, P2AP, V_WRITE, m)
-                  for m in (first, second, third)]
-        assert splits[0] == splits[1] == splits[2]
-
-    def test_params_hash_is_kept_and_not_pickled(self):
-        """MtjParams keeps the generated field-tuple hash once per object;
-        a pickled copy hashes equal and shares the integrator pair, and a
-        hashed object pickles to the same bytes as a fresh one."""
-        params = MtjParams()
-        assert hash(params) == hash(dataclasses.astuple(params))
-        assert pickle.dumps(params) == pickle.dumps(MtjParams())
-        copy = pickle.loads(pickle.dumps(params))
-        assert copy == params and hash(copy) == hash(params)
-        for other in (copy, MtjParams(), dataclasses.replace(params)):
-            assert (device._integrators(other, V_WRITE, AP2P)
-                    is device._integrators(params, V_WRITE, AP2P))
-        moved = dataclasses.replace(params, delta=40.0)
-        assert hash(moved) == hash(dataclasses.astuple(moved))
+        assert first == second == third == fourth
+        splits = [write_energy_split(2e-9, P2AP, V_WRITE, m) for m in models]
+        assert splits[0] == splits[1] == splits[2] == splits[3]
 
     @staticmethod
     def values(model, direction, grid, probabilities):
