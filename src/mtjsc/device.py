@@ -10,9 +10,9 @@ with phi(t) = (pi/2) * exp(-(eta * mu_B / (e * Ms * t_F)) * (J - Jc0) * t).
 The proportionality constant C is not a device constant; it is fixed per
 switching direction by calibrating the cumulative switching probability
 against measured anchor points (see `default_model`).  All currents follow
-from the write bias and the start-state resistance; the energy of a write
-pulse splits the pulse at the expected switching time between start-state
-and end-state currents.
+from the write bias `params.v_write` and the start-state resistance; the
+energy of a write pulse splits the pulse at the expected switching time
+between start-state and end-state currents.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ class MtjParams:
     cell_area: float = 20e-9 * 58e-9    # m^2
     ra_product: float = 5e-12           # ohm*m^2
     tmr: float = TMR_CALIBRATED
-    mu_b: float = MU_B
-    e_charge: float = E_CHARGE
     v_write: float = 1.2                # V
     v_read: float = -0.1                # V
     t_reset: float = 4.33e-9            # s
@@ -111,13 +109,13 @@ class MtjParams:
             return self.r_p
         return self.r_ap
 
-    def current_density(self, bias: float, direction: SwitchDirection) -> float:
-        """J through the junction at the given bias, start-state resistance."""
-        return abs(bias) / (self.start_resistance(direction) * self.cell_area)
+    def current_density(self, direction: SwitchDirection) -> float:
+        """J through the junction at v_write, start-state resistance."""
+        return self.v_write / (self.start_resistance(direction) * self.cell_area)
 
     def spin_rate(self) -> float:
         """eta*mu_B / (e*Ms*t_F): converts overdrive (A/m^2) to 1/s."""
-        return self.eta_spin * self.mu_b / (self.e_charge * self.ms * self.t_f)
+        return self.eta_spin * MU_B / (E_CHARGE * self.ms * self.t_f)
 
 
 @dataclass(frozen=True)
@@ -139,23 +137,21 @@ def _check_time(name: str, t: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {t}")
 
 
-def _overdrive(params: MtjParams, bias: float, direction: SwitchDirection) -> float:
-    if not math.isfinite(bias):
-        raise ValueError(f"bias must be finite, got {bias}")
-    j = params.current_density(bias, direction)
+def _overdrive(params: MtjParams, direction: SwitchDirection) -> float:
+    j = params.current_density(direction)
     jc0 = params.jc0(direction)
     if j <= jc0:
         raise ValueError(
-            f"bias {bias} V gives J = {j:.3e} A/m^2 <= Jc0 = {jc0:.3e}; "
-            "not in the precessional regime"
+            f"v_write {params.v_write} V gives J = {j:.3e} A/m^2 "
+            f"<= Jc0 = {jc0:.3e}; not in the precessional regime"
         )
     return j - jc0
 
 
-def _density(params: MtjParams, bias: float, direction: SwitchDirection):
+def _density(params: MtjParams, direction: SwitchDirection):
     """The uncalibrated density t -> exp(-delta*s2) * over * s2, where
     s2 = sin^2((pi/2) * exp(-kappa*t)), and its kappa."""
-    over = _overdrive(params, bias, direction)
+    over = _overdrive(params, direction)
     kappa = params.spin_rate() * over
     half_pi, neg_kappa, neg_delta = 0.5 * math.pi, -kappa, -params.delta
     exp, sin = math.exp, math.sin
@@ -216,39 +212,39 @@ def _integrator(f, kappa: float):
 
 
 @functools.cache
-def _integrators(params: MtjParams, bias: float, direction: SwitchDirection):
+def _integrators(params: MtjParams, direction: SwitchDirection):
     """The uncalibrated CDF and first-moment integrators of one
-    (params, bias, direction), built once from one density.  The knot
+    (params, direction), built once from one density.  The knot
     integrals depend on neither the fitted constant nor the pulse, so every
     model on equal params, calibration's included, shares one pair.
     Threads that miss together each build a pair; the last one kept is as
     good as any other."""
-    density, kappa = _density(params, bias, direction)
+    density, kappa = _density(params, direction)
     return (_integrator(density, kappa),
             _integrator(lambda t: t * density(t), kappa))
 
 
-def switching_density(t: float, direction: SwitchDirection, bias: float,
+def switching_density(t: float, direction: SwitchDirection,
                       model: SwitchingModel) -> float:
     """Probability density (1/s) of switching at time t under a pulse."""
     _check_time("t", t)
-    density, _ = _density(model.params, bias, direction)
+    density, _ = _density(model.params, direction)
     return model.constant(direction) * density(t)
 
 
-def switching_probability(t_p: float, direction: SwitchDirection, bias: float,
+def switching_probability(t_p: float, direction: SwitchDirection,
                           model: SwitchingModel) -> float:
     """Cumulative switching probability for a pulse of width t_p, in [0, 1]."""
     _check_time("t_p", t_p)
-    cdf, _ = _integrators(model.params, bias, direction)
+    cdf, _ = _integrators(model.params, direction)
     return min(1.0, max(0.0, model.constant(direction) * cdf(t_p)))
 
 
-def expected_switch_time(t_p: float, direction: SwitchDirection, bias: float,
+def expected_switch_time(t_p: float, direction: SwitchDirection,
                          model: SwitchingModel) -> float:
     """Integral of t * pdf(t) over [0, t_p] (unconditional, in seconds)."""
     _check_time("t_p", t_p)
-    _, first_moment = _integrators(model.params, bias, direction)
+    _, first_moment = _integrators(model.params, direction)
     return model.constant(direction) * first_moment(t_p)
 
 
@@ -264,7 +260,7 @@ class WriteEnergySplit(NamedTuple):
         return self.p_switch * self.switched + (1.0 - self.p_switch) * self.unswitched
 
 
-def write_energy_split(t_p: float, direction: SwitchDirection, bias: float,
+def write_energy_split(t_p: float, direction: SwitchDirection,
                        model: SwitchingModel) -> WriteEnergySplit:
     """Switch probability and per-outcome energies of a pulse of width t_p.
 
@@ -274,21 +270,21 @@ def write_energy_split(t_p: float, direction: SwitchDirection, bias: float,
     start-state current flows for the whole pulse: V*I_start*T.
     """
     params = model.params
-    v = abs(bias)
+    v = params.v_write
     i_start = v / params.start_resistance(direction)
     i_end = v / params.end_resistance(direction)
-    p_sw = switching_probability(t_p, direction, bias, model)
-    e_t = expected_switch_time(t_p, direction, bias, model)
+    p_sw = switching_probability(t_p, direction, model)
+    e_t = expected_switch_time(t_p, direction, model)
     e_sw = v * (i_start * e_t + i_end * (t_p - e_t))
     e_nsw = v * i_start * t_p
     return WriteEnergySplit(p_sw, e_sw, e_nsw)
 
 
-def expected_write_energy(t_p: float, direction: SwitchDirection, bias: float,
+def expected_write_energy(t_p: float, direction: SwitchDirection,
                           model: SwitchingModel) -> float:
     """Expected energy (J) of a write pulse of width t_p: the outcome-weighted
     mean of `write_energy_split`, which the SNG cost model caches per q."""
-    return write_energy_split(t_p, direction, bias, model).expected
+    return write_energy_split(t_p, direction, model).expected
 
 
 def _bisect(f, target: float, lo: float, hi: float) -> float:
@@ -303,7 +299,7 @@ def _bisect(f, target: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: float,
+def pulse_width_for_probability(p: float, direction: SwitchDirection,
                                 model: SwitchingModel) -> float:
     """Smallest pulse width whose switching probability equals p.
 
@@ -317,7 +313,7 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
         raise ValueError(f"p must be in [0, 1), got {p}")
     if p == 0.0:
         return 0.0
-    cdf, _ = _integrators(model.params, bias, direction)
+    cdf, _ = _integrators(model.params, direction)
     c = model.constant(direction)
 
     def probability(t: float) -> float:
@@ -331,11 +327,11 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection, bias: floa
 
 def _fit_constant(params: MtjParams, anchor: tuple) -> float:
     """Density constant that puts the CDF through `anchor`."""
-    t_p, p, direction, bias = anchor
+    t_p, p, direction = anchor
     if not 0.0 < p < 1.0:
         raise ValueError(f"anchor probability must be in (0, 1), got {p}")
     _check_time("anchor pulse width", t_p)
-    raw = _integrators(params, bias, direction)[0](t_p)
+    raw = _integrators(params, direction)[0](t_p)
     if raw <= 0.0:
         raise RuntimeError("calibration failed: zero density mass at the anchor")
     return p / raw
@@ -344,10 +340,9 @@ def _fit_constant(params: MtjParams, anchor: tuple) -> float:
 def calibrate(params: MtjParams, anchor: tuple) -> SwitchingModel:
     """Fix the density constant so the CDF passes through one anchor point.
 
-    `anchor` is (pulse_width, probability, direction, bias).  Both
-    directions receive the fitted constant; `calibrate_direction` can then
-    override one of them.  Secondary anchors are recorded for checking, not
-    fitted.
+    `anchor` is (pulse_width, probability, direction).  Both directions
+    receive the fitted constant; `calibrate_direction` can then override one
+    of them.  Secondary anchors are recorded for checking, not fitted.
     """
     c = _fit_constant(params, anchor)
     return SwitchingModel(
@@ -366,8 +361,7 @@ def calibrate_direction(model: SwitchingModel, anchor: tuple) -> SwitchingModel:
 
 
 def calibrate_direction_to_energy(model: SwitchingModel, energy: float, p: float,
-                                  direction: SwitchDirection,
-                                  bias: float) -> SwitchingModel:
+                                  direction: SwitchDirection) -> SwitchingModel:
     """Refit one direction so its expected write energy at the probability-p
     pulse width equals `energy`.
 
@@ -377,8 +371,8 @@ def calibrate_direction_to_energy(model: SwitchingModel, energy: float, p: float
     """
 
     def energy_at(t_anchor: float) -> float:
-        m = calibrate_direction(model, (t_anchor, p, direction, bias))
-        return expected_write_energy(t_anchor, direction, bias, m)
+        m = calibrate_direction(model, (t_anchor, p, direction))
+        return expected_write_energy(t_anchor, direction, m)
 
     lo, hi = ENERGY_ANCHOR_BRACKET
     e_lo, e_hi = energy_at(lo), energy_at(hi)
@@ -387,7 +381,7 @@ def calibrate_direction_to_energy(model: SwitchingModel, energy: float, p: float
             f"energy anchor {energy} J outside the bracketable range: "
             f"{e_lo} J at {lo} s, {e_hi} J at {hi} s")
     t_anchor = _bisect(energy_at, energy, lo, hi)
-    return calibrate_direction(model, (t_anchor, p, direction, bias))
+    return calibrate_direction(model, (t_anchor, p, direction))
 
 
 def default_model(params: MtjParams | None = None) -> SwitchingModel:
@@ -398,8 +392,6 @@ def default_model(params: MtjParams | None = None) -> SwitchingModel:
     """
     params = params or MtjParams()
     t_anchor, p_anchor = AP2P_ANCHOR
-    model = calibrate(params, (t_anchor, p_anchor, SwitchDirection.AP_TO_P,
-                               params.v_write))
+    model = calibrate(params, (t_anchor, p_anchor, SwitchDirection.AP_TO_P))
     return calibrate_direction_to_energy(
-        model, P2AP_ENERGY_ANCHOR, p_anchor, SwitchDirection.P_TO_AP,
-        params.v_write)
+        model, P2AP_ENERGY_ANCHOR, p_anchor, SwitchDirection.P_TO_AP)

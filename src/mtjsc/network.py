@@ -42,9 +42,9 @@ from .streams import (
 
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
 
-# Most 64-bit generator words drawn by one call on the stream path (512 KB),
-# to bound the memory of a draw.  A neuron of more words is split by rows,
-# in order, which leaves the bits unchanged.
+# Most 64-bit generator words (512 KB) that one block of neurons draws on
+# the stream path; it bounds the neurons per block, at least one.  Blocks
+# are drawn in order, which leaves the bits unchanged.
 DRAW_BLOCK = 1 << 16
 
 # E[x^2] of an input uniform on [-1, 1], used to size the neuron FSM.  The
@@ -140,8 +140,9 @@ class EvalConfig:
         if not isinstance(self.sng_kind, SngKind):
             raise TypeError(
                 f"sng_kind must be a SngKind, got {self.sng_kind!r}")
-        if self.stream_length is not None and \
-                self.stream_length not in ALLOWED_STREAM_LENGTHS:
+        if self.stream_length is not None and not (
+                _is_seed(self.stream_length)
+                and self.stream_length in ALLOWED_STREAM_LENGTHS):
             raise ValueError(
                 f"stream_length must be one of {sorted(ALLOWED_STREAM_LENGTHS)}"
                 f", got {self.stream_length!r}")
@@ -170,14 +171,6 @@ def _label_problem(labels: np.ndarray) -> str | None:
     return None
 
 
-def neuron_forward_float(w: np.ndarray, x: np.ndarray, m_scale: float):
-    """Weighted sum a = (M/2)(w.x + w.1) and activation t = tanh(a)."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    a = 0.5 * m_scale * (w @ x + w.sum())
-    return a, np.tanh(a)
-
-
 def layer_forward_float(layer: LayerSpec, x: np.ndarray):
     a = 0.5 * layer.m_scale * (layer.weights.T @ x + layer.weights.sum(axis=0))
     return a, np.tanh(a)
@@ -202,19 +195,6 @@ def weight_sum_offset(w_sum, n_inputs: int, n: int) -> np.ndarray:
     s = 0.5 * np.asarray(w_sum, dtype=float)
     edges = np.floor(np.arange(n + 1) * s[..., None] + 0.5)
     return np.diff(edges).astype(np.int32) + (n_inputs + 1) // 2
-
-
-def _uniform_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """`sng.uniform16` for `rows` rows of n cycles, shape (rows, n).
-
-    Rows are drawn in order, in blocks of at most DRAW_BLOCK words, so the
-    result equals one draw per row.
-    """
-    per_block = max(1, DRAW_BLOCK // -(-n // 4))
-    if rows <= per_block:
-        return uniform16(rng, (rows,), n)
-    return np.concatenate([uniform16(rng, (min(per_block, rows - i),), n)
-                           for i in range(0, rows, per_block)])
 
 
 class _LayerPlan(NamedTuple):
@@ -258,7 +238,7 @@ def _block_levels(plan: _LayerPlan, x_bits: np.ndarray, lo: int, hi: int,
     """Adder levels of neurons lo..hi-1 of a layer, written into `out`.
 
     Draws the neurons' weight and fair rows, neuron by neuron, in one
-    `_uniform_rows` call.  A weight bit is (u < threshold) ^ flip, so
+    `uniform16` call.  A weight bit is (u < threshold) ^ flip, so
     (u < threshold) ^ flip ^ x marks where its XNOR with the input bit x
     mismatches; the levels are the plan's base levels plus the fair bits,
     minus the mismatches of each cycle.  x_bits is the layer's (fan_in, n)
@@ -266,8 +246,7 @@ def _block_levels(plan: _LayerPlan, x_bits: np.ndarray, lo: int, hi: int,
     """
     fan_in = plan.thresholds.shape[1]
     n = x_bits.shape[1]
-    u = _uniform_rows(rng, (hi - lo) * (fan_in + 2), n).reshape(
-        hi - lo, fan_in + 2, n)
+    u = uniform16(rng, (hi - lo, fan_in + 2), n)
     mismatch = np.less(u[:, :fan_in], plan.thresholds[lo:hi, :, None])
     np.bitwise_xor(mismatch, plan.flips[lo:hi, :, None], out=mismatch)
     np.bitwise_xor(mismatch, x_bits, out=mismatch)
@@ -391,7 +370,7 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
     n = config.stream_length
     rng = child_seed(config.seed, 7, *sample_key)
     thresholds, _, flips = write_thresholds((x + 1.0) / 2.0, config.sng_kind)
-    bits = ((_uniform_rows(rng, x.size, n) < thresholds[:, None])
+    bits = ((uniform16(rng, (x.size,), n) < thresholds[:, None])
             ^ flips[:, None])
     plans = [_layer_plan(layer, config.sng_kind, n) for layer in net.layers]
     bits = _stream_layers(plans, bits, rng)

@@ -83,17 +83,16 @@ class SngCostModel:
 def build_cost_model(model: SwitchingModel | None = None) -> SngCostModel:
     model = model or default_model()
     params = model.params
-    v = params.v_write
     t_reset_pulse = pulse_width_for_probability(
-        WRITE_PROBABILITY_CAP, SwitchDirection.P_TO_AP, v, model)
+        WRITE_PROBABILITY_CAP, SwitchDirection.P_TO_AP, model)
     reset_energy = expected_write_energy(
-        t_reset_pulse, SwitchDirection.P_TO_AP, v, model)
+        t_reset_pulse, SwitchDirection.P_TO_AP, model)
     # Read at the sense bias through the low-resistance state.
     read_energy = params.v_read ** 2 / params.r_p * params.t_read
     t_write_max = pulse_width_for_probability(
-        WRITE_PROBABILITY_CAP, SwitchDirection.AP_TO_P, v, model)
+        WRITE_PROBABILITY_CAP, SwitchDirection.AP_TO_P, model)
     t_write_bms = pulse_width_for_probability(
-        0.5, SwitchDirection.AP_TO_P, v, model)
+        0.5, SwitchDirection.AP_TO_P, model)
     return SngCostModel(
         switching=model,
         reset_energy=reset_energy,
@@ -131,9 +130,8 @@ def _write_split(q: float, cost_model: SngCostModel) -> WriteEnergySplit:
     cache = cost_model._write_energy_cache
     if q_c not in cache:
         model = cost_model.switching
-        v = model.params.v_write
-        t_w = pulse_width_for_probability(q_c, SwitchDirection.AP_TO_P, v, model)
-        cache[q_c] = write_energy_split(t_w, SwitchDirection.AP_TO_P, v, model)
+        t_w = pulse_width_for_probability(q_c, SwitchDirection.AP_TO_P, model)
+        cache[q_c] = write_energy_split(t_w, SwitchDirection.AP_TO_P, model)
     return cache[q_c]
 
 

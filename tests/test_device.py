@@ -41,7 +41,6 @@ from mtjsc.sng import (
 
 AP2P = SwitchDirection.AP_TO_P
 P2AP = SwitchDirection.P_TO_AP
-V_WRITE = 1.2
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +48,15 @@ def model():
     return default_model()
 
 
-def trapezoid_cdf(t_p, direction, bias, model, steps=10_000):
+def trapezoid_cdf(t_p, direction, model, steps=10_000):
     ts = np.linspace(0.0, t_p, steps + 1)
-    dens = np.array([switching_density(t, direction, bias, model) for t in ts])
+    dens = np.array([switching_density(t, direction, model) for t in ts])
     return np.trapezoid(dens, ts)
 
 
-def trapezoid_first_moment(t_p, direction, bias, model, steps=10_000):
+def trapezoid_first_moment(t_p, direction, model, steps=10_000):
     ts = np.linspace(0.0, t_p, steps + 1)
-    dens = np.array([t * switching_density(t, direction, bias, model) for t in ts])
+    dens = np.array([t * switching_density(t, direction, model) for t in ts])
     return np.trapezoid(dens, ts)
 
 
@@ -73,14 +72,14 @@ def ref_density(t, kappa, over, delta):
     return math.exp(-delta * s2) * over * s2
 
 
-def ref_kappa_over(params, bias, direction):
-    over = params.current_density(bias, direction) - params.jc0(direction)
+def ref_kappa_over(params, direction):
+    over = params.current_density(direction) - params.jc0(direction)
     return params.spin_rate() * over, over
 
 
-def quad_integral(params, t_end, bias, direction, moment=0):
+def quad_integral(params, t_end, direction, moment=0):
     """Integral of t**moment times the uncalibrated density over [0, t_end]."""
-    kappa, over = ref_kappa_over(params, bias, direction)
+    kappa, over = ref_kappa_over(params, direction)
     knots = [0.0] + [x / kappa for x in device._SPLIT_POINTS if x / kappa < t_end]
     knots.append(t_end)
     f = lambda t: t ** moment * ref_density(t, kappa, over, params.delta)
@@ -88,39 +87,40 @@ def quad_integral(params, t_end, bias, direction, moment=0):
                      for lo, hi in zip(knots[:-1], knots[1:]))
 
 
-def quad_probability(t_p, direction, bias, model):
-    raw = quad_integral(model.params, t_p, bias, direction)
+def quad_probability(t_p, direction, model):
+    raw = quad_integral(model.params, t_p, direction)
     return min(1.0, max(0.0, model.constant(direction) * raw))
 
 
-def quad_write_energy(t_p, direction, bias, model):
+def quad_write_energy(t_p, direction, model):
     params = model.params
-    i_start = bias / params.start_resistance(direction)
-    i_end = bias / params.end_resistance(direction)
-    p_sw = quad_probability(t_p, direction, bias, model)
-    e_t = model.constant(direction) * quad_integral(params, t_p, bias, direction, 1)
-    e_sw = bias * (i_start * e_t + i_end * (t_p - e_t))
-    return p_sw * e_sw + (1.0 - p_sw) * bias * i_start * t_p
+    v = params.v_write
+    i_start = v / params.start_resistance(direction)
+    i_end = v / params.end_resistance(direction)
+    p_sw = quad_probability(t_p, direction, model)
+    e_t = model.constant(direction) * quad_integral(params, t_p, direction, 1)
+    e_sw = v * (i_start * e_t + i_end * (t_p - e_t))
+    return p_sw * e_sw + (1.0 - p_sw) * v * i_start * t_p
 
 
-def quad_pulse_width(p, direction, bias, model):
+def quad_pulse_width(p, direction, model):
     """Bisection on the reference CDF, to the module's width tolerance."""
     lo, hi = 0.0, DEFAULT_MAX_PULSE
-    assert quad_probability(hi, direction, bias, model) >= p
+    assert quad_probability(hi, direction, model) >= p
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        if quad_probability(mid, direction, bias, model) < p:
+        if quad_probability(mid, direction, model) < p:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def knot_grid(params, direction, bias=V_WRITE):
+def knot_grid(params, direction):
     """Every knot x/kappa, one ulp either side of it, 1e-15 s, 60 geometric
     points from 0.2 to 20 ns and the default maximum pulse, in increasing
     order."""
-    kappa, _ = ref_kappa_over(params, bias, direction)
+    kappa, _ = ref_kappa_over(params, direction)
     grid = [1e-15, DEFAULT_MAX_PULSE] + list(np.geomspace(0.2e-9, 20e-9, 60))
     for x in device._SPLIT_POINTS:
         t = x / kappa
@@ -132,168 +132,171 @@ class TestSwitchingDensity:
     def test_t0_is_maximal_angle_term(self, model):
         """At t = 0 the precession angle is pi/2 exactly."""
         params = model.params
-        over = params.current_density(V_WRITE, AP2P) - params.jc0(AP2P)
+        over = params.current_density(AP2P) - params.jc0(AP2P)
         expected = model.constant(AP2P) * math.exp(-params.delta) * over
-        assert switching_density(0.0, AP2P, V_WRITE, model) == pytest.approx(expected)
+        assert switching_density(0.0, AP2P, model) == pytest.approx(expected)
 
     def test_decays_to_zero(self, model):
-        assert switching_density(50e-9, AP2P, V_WRITE, model) < 1e-12 * \
-            switching_density(2e-9, AP2P, V_WRITE, model)
+        assert switching_density(50e-9, AP2P, model) < 1e-12 * \
+            switching_density(2e-9, AP2P, model)
 
     def test_nonnegative(self, model):
         for t in np.linspace(0, 10e-9, 200):
-            assert switching_density(t, AP2P, V_WRITE, model) >= 0.0
+            assert switching_density(t, AP2P, model) >= 0.0
 
     def test_low_bias_rejected(self, model):
+        low = dataclasses.replace(
+            model, params=dataclasses.replace(model.params, v_write=0.2))
         with pytest.raises(ValueError, match="precessional"):
-            switching_density(1e-9, AP2P, 0.2, model)
+            switching_density(1e-9, AP2P, low)
 
     def test_density_consistent_with_half_probability_anchor(self, model):
         """Integrating the density up to 1.49 ns gives the 50% anchor."""
-        integral = trapezoid_cdf(1.49e-9, AP2P, V_WRITE, model)
+        integral = trapezoid_cdf(1.49e-9, AP2P, model)
         assert integral == pytest.approx(0.50, abs=0.01)
 
 
 class TestSwitchingProbability:
     def test_zero_pulse(self, model):
-        assert switching_probability(0.0, AP2P, V_WRITE, model) == 0.0
+        assert switching_probability(0.0, AP2P, model) == 0.0
 
     def test_anchor_999(self, model):
-        p = switching_probability(3.40e-9, AP2P, V_WRITE, model)
+        p = switching_probability(3.40e-9, AP2P, model)
         assert p == pytest.approx(0.999, abs=0.005)
 
     def test_anchor_50(self, model):
-        p = switching_probability(1.49e-9, AP2P, V_WRITE, model)
+        p = switching_probability(1.49e-9, AP2P, model)
         assert p == pytest.approx(0.50, abs=0.01)
 
     def test_monotone_and_bounded(self, model):
         grid = np.linspace(0, 20e-9, 100)
-        probs = [switching_probability(t, AP2P, V_WRITE, model) for t in grid]
+        probs = [switching_probability(t, AP2P, model) for t in grid]
         assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
         assert all(0.0 <= p <= 1.0 for p in probs)
 
     def test_matches_trapezoid_oracle(self, model):
         for t_p in (0.8e-9, 1.49e-9, 2.5e-9, 3.40e-9):
-            oracle = trapezoid_cdf(t_p, AP2P, V_WRITE, model)
-            got = switching_probability(t_p, AP2P, V_WRITE, model)
+            oracle = trapezoid_cdf(t_p, AP2P, model)
+            got = switching_probability(t_p, AP2P, model)
             assert got == pytest.approx(oracle, rel=1e-3)
 
 
 class TestExpectedSwitchTime:
     def test_zero_pulse(self, model):
-        assert expected_switch_time(0.0, AP2P, V_WRITE, model) == 0.0
+        assert expected_switch_time(0.0, AP2P, model) == 0.0
 
     def test_bounded_by_pulse_times_probability(self, model):
         for t_p in (0.5e-9, 1.49e-9, 3.40e-9, 8e-9):
-            e_t = expected_switch_time(t_p, AP2P, V_WRITE, model)
-            p = switching_probability(t_p, AP2P, V_WRITE, model)
+            e_t = expected_switch_time(t_p, AP2P, model)
+            p = switching_probability(t_p, AP2P, model)
             assert 0.0 <= e_t <= t_p * p + 1e-18
 
     def test_matches_trapezoid_oracle(self, model):
-        oracle = trapezoid_first_moment(3.40e-9, AP2P, V_WRITE, model)
-        got = expected_switch_time(3.40e-9, AP2P, V_WRITE, model)
+        oracle = trapezoid_first_moment(3.40e-9, AP2P, model)
+        got = expected_switch_time(3.40e-9, AP2P, model)
         assert got == pytest.approx(oracle, rel=1e-3)
 
 
 class TestExpectedWriteEnergy:
     def test_zero_pulse(self, model):
-        assert expected_write_energy(0.0, AP2P, V_WRITE, model) == 0.0
+        assert expected_write_energy(0.0, AP2P, model) == 0.0
 
     def test_ap2p_anchor_energy(self, model):
-        t999 = pulse_width_for_probability(0.999, AP2P, V_WRITE, model)
-        e = expected_write_energy(t999, AP2P, V_WRITE, model)
+        t999 = pulse_width_for_probability(0.999, AP2P, model)
+        e = expected_write_energy(t999, AP2P, model)
         assert e == pytest.approx(0.93e-12, rel=0.15)
 
     def test_p2ap_anchor_energy(self, model):
-        t999 = pulse_width_for_probability(0.999, P2AP, V_WRITE, model)
-        e = expected_write_energy(t999, P2AP, V_WRITE, model)
+        t999 = pulse_width_for_probability(0.999, P2AP, model)
+        e = expected_write_energy(t999, P2AP, model)
         assert e == pytest.approx(0.46e-12, rel=0.15)
 
     def test_monotone_in_pulse_width(self, model):
         for direction in (AP2P, P2AP):
             grid = np.linspace(0.1e-9, 8e-9, 40)
-            energies = [expected_write_energy(t, direction, V_WRITE, model)
+            energies = [expected_write_energy(t, direction, model)
                         for t in grid]
             assert all(b >= a - 1e-18 for a, b in zip(energies, energies[1:]))
 
 
 class TestWriteEnergySplit:
     def test_zero_pulse(self, model):
-        assert write_energy_split(0.0, AP2P, V_WRITE, model) == (0.0, 0.0, 0.0)
+        assert write_energy_split(0.0, AP2P, model) == (0.0, 0.0, 0.0)
 
     def test_negative_pulse_rejected(self, model):
         with pytest.raises(ValueError, match="nonnegative"):
-            write_energy_split(-1e-9, AP2P, V_WRITE, model)
+            write_energy_split(-1e-9, AP2P, model)
 
     def test_outcome_energies(self, model):
         params = model.params
         for direction in (AP2P, P2AP):
-            t_p = pulse_width_for_probability(0.7, direction, V_WRITE, model)
-            split = write_energy_split(t_p, direction, V_WRITE, model)
-            i_start = V_WRITE / params.start_resistance(direction)
-            i_end = V_WRITE / params.end_resistance(direction)
-            e_t = expected_switch_time(t_p, direction, V_WRITE, model)
+            t_p = pulse_width_for_probability(0.7, direction, model)
+            split = write_energy_split(t_p, direction, model)
+            v = params.v_write
+            i_start = v / params.start_resistance(direction)
+            i_end = v / params.end_resistance(direction)
+            e_t = expected_switch_time(t_p, direction, model)
             assert split.p_switch == switching_probability(
-                t_p, direction, V_WRITE, model)
-            assert split.switched == V_WRITE * (i_start * e_t + i_end * (t_p - e_t))
-            assert split.unswitched == V_WRITE * i_start * t_p
+                t_p, direction, model)
+            assert split.switched == v * (i_start * e_t + i_end * (t_p - e_t))
+            assert split.unswitched == v * i_start * t_p
 
     def test_expected_is_the_weighted_mean(self, model):
         for t_p in np.linspace(0.2e-9, 6e-9, 12):
-            split = write_energy_split(t_p, AP2P, V_WRITE, model)
-            assert expected_write_energy(t_p, AP2P, V_WRITE, model) == (
+            split = write_energy_split(t_p, AP2P, model)
+            assert expected_write_energy(t_p, AP2P, model) == (
                 split.p_switch * split.switched
                 + (1.0 - split.p_switch) * split.unswitched)
 
 
 class TestPulseWidthForProbability:
     def test_zero_probability(self, model):
-        assert pulse_width_for_probability(0.0, AP2P, V_WRITE, model) == 0.0
+        assert pulse_width_for_probability(0.0, AP2P, model) == 0.0
 
     def test_anchor_widths(self, model):
-        t999 = pulse_width_for_probability(0.999, AP2P, V_WRITE, model)
+        t999 = pulse_width_for_probability(0.999, AP2P, model)
         assert t999 == pytest.approx(3.40e-9, rel=0.05)
-        t50 = pulse_width_for_probability(0.5, AP2P, V_WRITE, model)
+        t50 = pulse_width_for_probability(0.5, AP2P, model)
         assert t50 == pytest.approx(1.49e-9, rel=0.05)
 
     def test_inverse_consistency(self, model):
         for p in np.arange(0.01, 1.0, 0.01):
-            t = pulse_width_for_probability(p, AP2P, V_WRITE, model)
-            back = switching_probability(t, AP2P, V_WRITE, model)
+            t = pulse_width_for_probability(p, AP2P, model)
+            back = switching_probability(t, AP2P, model)
             assert back == pytest.approx(p, abs=1e-5)
 
     def test_unreachable_probability(self, model):
         """AP->P levels off at 0.999985 below DEFAULT_MAX_PULSE."""
         with pytest.raises(ValueError, match="not reachable below 20 ns"):
-            pulse_width_for_probability(0.99999, AP2P, V_WRITE, model)
+            pulse_width_for_probability(0.99999, AP2P, model)
 
 
 class TestCalibration:
     def test_anchor_is_exact(self):
-        anchor = (3.40e-9, 0.999, AP2P, V_WRITE)
+        anchor = (3.40e-9, 0.999, AP2P)
         model = calibrate(MtjParams(), anchor)
-        p = switching_probability(3.40e-9, AP2P, V_WRITE, model)
+        p = switching_probability(3.40e-9, AP2P, model)
         assert p == pytest.approx(0.999, abs=1e-4)
 
     def test_idempotent(self):
-        anchor = (3.40e-9, 0.999, AP2P, V_WRITE)
+        anchor = (3.40e-9, 0.999, AP2P)
         m1 = calibrate(MtjParams(), anchor)
         m2 = calibrate(m1.params, anchor)
         assert m1.norm_constant == m2.norm_constant
 
     def test_predicts_half_point(self):
-        anchor = (3.40e-9, 0.999, AP2P, V_WRITE)
+        anchor = (3.40e-9, 0.999, AP2P)
         model = calibrate(MtjParams(), anchor)
-        t50 = pulse_width_for_probability(0.5, AP2P, V_WRITE, model)
+        t50 = pulse_width_for_probability(0.5, AP2P, model)
         assert t50 == pytest.approx(1.49e-9, rel=0.05)
 
     def test_rejects_degenerate_anchor(self):
         with pytest.raises(ValueError):
-            calibrate(MtjParams(), (3.40e-9, 1.0, AP2P, V_WRITE))
+            calibrate(MtjParams(), (3.40e-9, 1.0, AP2P))
 
     def test_direction_fit_matches_calibrate(self):
-        anchor = (3.40e-9, 0.999, AP2P, V_WRITE)
-        base = calibrate(MtjParams(), (2.0e-9, 0.5, P2AP, V_WRITE))
+        anchor = (3.40e-9, 0.999, AP2P)
+        base = calibrate(MtjParams(), (2.0e-9, 0.5, P2AP))
         refit = calibrate_direction(base, anchor)
         direct = calibrate(MtjParams(), anchor)
         assert refit.constant(AP2P) == direct.constant(AP2P)
@@ -302,7 +305,7 @@ class TestCalibration:
 
     def test_direction_rejects_degenerate_anchor(self, model):
         with pytest.raises(ValueError):
-            calibrate_direction(model, (3.40e-9, 0.0, AP2P, V_WRITE))
+            calibrate_direction(model, (3.40e-9, 0.0, AP2P))
 
 
 class TestParams:
@@ -325,6 +328,8 @@ class TestParams:
         ("t_read", -1.0, "must be positive"),
         ("delta", math.nan, "must be finite"),
         ("v_write", math.nan, "must be finite"),
+        ("v_write", math.inf, "must be finite"),
+        ("v_write", -1.2, "must be positive"),
         ("tmr", math.inf, "must be finite"),
         ("v_read", math.nan, "must be finite"),
         ("eta_spin", 1.5, r"must be in \(0, 1\]"),
@@ -344,50 +349,53 @@ class TestExactReference:
     GEOMETRIC = np.geomspace(0.2e-9, 20e-9, 60)
 
     @staticmethod
-    def bias_for(params, direction, overdrive):
-        """V_WRITE, or a bias just above the switching threshold, where every
-        pulse up to 20 ns ends deep inside the first knot piece."""
+    def model_for(model, direction, overdrive):
+        """The model at its own v_write, or with v_write just above the
+        switching threshold, where every pulse up to 20 ns ends deep inside
+        the first knot piece."""
         if overdrive == "v_write":
-            return V_WRITE
+            return model
+        params = model.params
         threshold = params.jc0(direction) * params.start_resistance(direction) \
             * params.cell_area
-        return threshold * (1 + 1e-6)
+        return dataclasses.replace(model, params=dataclasses.replace(
+            params, v_write=threshold * (1 + 1e-6)))
 
     @pytest.mark.parametrize("overdrive", ["v_write", "near_threshold"])
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_cdf_on_knot_grid(self, model, direction, overdrive):
+        model = self.model_for(model, direction, overdrive)
         params = model.params
-        bias = self.bias_for(params, direction, overdrive)
-        grid = knot_grid(params, direction, bias)
+        grid = knot_grid(params, direction)
         # A cleared table per order, so the running knot integrals are
         # filled both ways.
         values = []
         for order in (grid, grid[::-1]):
             device._integrators.cache_clear()
-            cdf, _ = device._integrators(params, bias, direction)
+            cdf, _ = device._integrators(params, direction)
             values.append({t: cdf(t) for t in order})
         assert values[0] == values[1]
         for t in grid:
-            got = switching_probability(t, direction, bias, model)
-            assert abs(got - quad_probability(t, direction, bias, model)) <= 1e-6
+            got = switching_probability(t, direction, model)
+            assert abs(got - quad_probability(t, direction, model)) <= 1e-6
         if overdrive == "near_threshold":
             for t in self.GEOMETRIC:
-                expected = quad_integral(params, t, bias, direction)
+                expected = quad_integral(params, t, direction)
                 assert values[0][t] == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("overdrive", ["v_write", "near_threshold"])
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_expected_switch_time_on_knot_grid(self, model, direction, overdrive):
+        model = self.model_for(model, direction, overdrive)
         params = model.params
-        bias = self.bias_for(params, direction, overdrive)
         if overdrive == "v_write":
             grid, rel = [t for t in knot_grid(params, direction) if t >= 0.5e-9], 5e-5
         else:
             grid, rel = self.GEOMETRIC, 1e-12
         c = model.constant(direction)
         for t in grid:
-            expected = c * quad_integral(params, t, bias, direction, 1)
-            assert expected_switch_time(t, direction, bias, model) == \
+            expected = c * quad_integral(params, t, direction, 1)
+            assert expected_switch_time(t, direction, model) == \
                 pytest.approx(expected, rel=rel, abs=0)
 
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
@@ -395,39 +403,38 @@ class TestExactReference:
         # The AP->P CDF levels off below 1 - 1e-9 (test_ap_to_p_saturation).
         saturated = (1 - 1e-9,) if direction is P2AP else ()
         for p in (1e-6, 0.01, 0.25, 0.5, 0.75, 0.999) + saturated:
-            expected = quad_pulse_width(p, direction, V_WRITE, model)
-            assert pulse_width_for_probability(p, direction, V_WRITE, model) == \
+            expected = quad_pulse_width(p, direction, model)
+            assert pulse_width_for_probability(p, direction, model) == \
                 pytest.approx(expected, rel=1e-5)
 
     def test_ap_to_p_saturation(self, model):
         """The AP->P probability levels off near 0.999985, so 1 - 1e-9 is
         refused rather than met at a width set by quadrature error."""
-        level = quad_probability(DEFAULT_MAX_PULSE, AP2P, V_WRITE, model)
+        level = quad_probability(DEFAULT_MAX_PULSE, AP2P, model)
         assert 0.999 < level < 1 - 1e-6
         with pytest.raises(ValueError, match="not reachable below 20 ns"):
-            pulse_width_for_probability(1 - 1e-9, AP2P, V_WRITE, model)
+            pulse_width_for_probability(1 - 1e-9, AP2P, model)
 
     def test_default_model_constants(self, model):
         """The reference CDF and energy pass through both anchors."""
         t_ap, p_anchor = device.AP2P_ANCHOR
-        assert abs(quad_probability(t_ap, AP2P, V_WRITE, model) - p_anchor) <= 1e-6
+        assert abs(quad_probability(t_ap, AP2P, model) - p_anchor) <= 1e-6
         t_anchor = model.anchors[-1][0]
-        assert abs(quad_probability(t_anchor, P2AP, V_WRITE, model)
+        assert abs(quad_probability(t_anchor, P2AP, model)
                    - p_anchor) <= 1e-6
-        assert quad_write_energy(t_anchor, P2AP, V_WRITE, model) == \
+        assert quad_write_energy(t_anchor, P2AP, model) == \
             pytest.approx(device.P2AP_ENERGY_ANCHOR, rel=1e-6)
 
     def test_cost_model_fields(self, model):
         params = model.params
-        v = params.v_write
-        t_reset = quad_pulse_width(WRITE_PROBABILITY_CAP, P2AP, v, model)
-        t_max = quad_pulse_width(WRITE_PROBABILITY_CAP, AP2P, v, model)
-        t_bms = quad_pulse_width(0.5, AP2P, v, model)
+        t_reset = quad_pulse_width(WRITE_PROBABILITY_CAP, P2AP, model)
+        t_max = quad_pulse_width(WRITE_PROBABILITY_CAP, AP2P, model)
+        t_bms = quad_pulse_width(0.5, AP2P, model)
         cost = build_cost_model(model)
         assert cost.switching is model
         assert cost.mux_inv_energy == DEFAULT_MUX_INV_ENERGY
         assert cost.reset_energy == pytest.approx(
-            quad_write_energy(t_reset, P2AP, v, model), rel=1e-5)
+            quad_write_energy(t_reset, P2AP, model), rel=1e-5)
         assert cost.read_energy == params.v_read ** 2 / params.r_p * params.t_read
         assert cost.bit_period_normal == pytest.approx(
             params.t_reset + t_max + params.t_read, rel=1e-5)
@@ -436,7 +443,7 @@ class TestExactReference:
 
 
 class TestIntegralTable:
-    """Every knot piece is integrated once per (params, bias, direction),
+    """Every knot piece is integrated once per (params, direction),
     whichever model asks; the values are the same bit for bit, whatever
     was asked before and whichever thread asks."""
 
@@ -490,20 +497,20 @@ class TestIntegralTable:
         assert first.params is not fourth.params
         models = (first, second, third, fourth)
         for direction in (AP2P, P2AP):
-            tables = {id(device._integrators(m.params, V_WRITE, direction))
+            tables = {id(device._integrators(m.params, direction))
                       for m in models}
             assert len(tables) == 1
         assert first == second == third == fourth
-        splits = [write_energy_split(2e-9, P2AP, V_WRITE, m) for m in models]
+        splits = [write_energy_split(2e-9, P2AP, m) for m in models]
         assert splits[0] == splits[1] == splits[2] == splits[3]
 
     @staticmethod
     def values(model, direction, grid, probabilities):
         """Every table-backed function of `model` on the grid, in order."""
-        return ([switching_probability(t, direction, V_WRITE, model) for t in grid],
-                [expected_switch_time(t, direction, V_WRITE, model) for t in grid],
-                [write_energy_split(t, direction, V_WRITE, model) for t in grid],
-                [pulse_width_for_probability(p, direction, V_WRITE, model)
+        return ([switching_probability(t, direction, model) for t in grid],
+                [expected_switch_time(t, direction, model) for t in grid],
+                [write_energy_split(t, direction, model) for t in grid],
+                [pulse_width_for_probability(p, direction, model)
                  for p in probabilities])
 
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
@@ -514,14 +521,14 @@ class TestIntegralTable:
         for order in (up[::-1], up):
             device._integrators.cache_clear()
             for t in order:
-                switching_probability(t, direction, V_WRITE, model)
-                expected_switch_time(t, direction, V_WRITE, model)
+                switching_probability(t, direction, model)
+                expected_switch_time(t, direction, model)
             warmed.append(self.values(model, direction, grid, self.PROBABILITIES))
 
         # Every value from a table that holds nothing yet.
         def cold(fn, x):
             device._integrators.cache_clear()
-            return fn(x, direction, V_WRITE, model)
+            return fn(x, direction, model)
 
         fresh = tuple([cold(fn, t) for t in grid]
                       for fn in (switching_probability, expected_switch_time,
@@ -547,8 +554,8 @@ class TestIntegralTable:
         def run(shared, out):
             for direction in (AP2P, P2AP):
                 for t in grid:
-                    out.append(switching_probability(t, direction, V_WRITE, shared))
-                    out.append(expected_switch_time(t, direction, V_WRITE, shared))
+                    out.append(switching_probability(t, direction, shared))
+                    out.append(expected_switch_time(t, direction, shared))
 
         serial = []
         device._integrators.cache_clear()
@@ -560,7 +567,7 @@ class TestIntegralTable:
                 device._integrators.cache_clear()
                 for direction in (AP2P, P2AP):
                     # The integrators exist, their knot integrals do not.
-                    device._integrators(model.params, V_WRITE, direction)
+                    device._integrators(model.params, direction)
                 outs = ([], [])
                 start = threading.Barrier(2)
                 threads = [threading.Thread(target=lambda out=out: (
@@ -586,38 +593,33 @@ class TestRejectsBadTimes:
                                     write_energy_split, expected_write_energy])
     def test_pulse_width_rejected(self, model, fn, t):
         with pytest.raises(ValueError, match=f"t_p must be finite and nonnegative, got {t}"):
-            fn(t, AP2P, V_WRITE, model)
+            fn(t, AP2P, model)
 
     @pytest.mark.parametrize("t", BAD)
     def test_density_time_rejected(self, model, t):
         with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
-            switching_density(t, AP2P, V_WRITE, model)
+            switching_density(t, AP2P, model)
 
     @pytest.mark.parametrize("t", BAD)
     def test_anchor_time_rejected(self, model, t):
         with pytest.raises(ValueError, match=f"anchor pulse width .* got {t}"):
-            calibrate(MtjParams(), (t, 0.5, AP2P, V_WRITE))
+            calibrate(MtjParams(), (t, 0.5, AP2P))
         with pytest.raises(ValueError, match=f"anchor pulse width .* got {t}"):
-            calibrate_direction(model, (t, 0.5, P2AP, V_WRITE))
-
-    @pytest.mark.parametrize("bias", [math.nan, math.inf])
-    def test_bias_rejected(self, model, bias):
-        with pytest.raises(ValueError, match=f"bias must be finite, got {bias}"):
-            switching_probability(1e-9, AP2P, bias, model)
+            calibrate_direction(model, (t, 0.5, P2AP))
 
 
 class TestMessagesNameTheValue:
     @pytest.mark.parametrize("p", [1.0, -0.1, math.nan])
     def test_pulse_width_probability(self, model, p):
         with pytest.raises(ValueError, match=rf"p must be in \[0, 1\), got {p}"):
-            pulse_width_for_probability(p, AP2P, V_WRITE, model)
+            pulse_width_for_probability(p, AP2P, model)
 
     def test_energy_anchor_outside_bracket(self, model):
         lo, hi = device.ENERGY_ANCHOR_BRACKET
         with pytest.raises(RuntimeError) as err:
-            calibrate_direction_to_energy(model, 1e-9, 0.999, P2AP, V_WRITE)
+            calibrate_direction_to_energy(model, 1e-9, 0.999, P2AP)
         message = str(err.value)
         assert "energy anchor 1e-09 J" in message
         for t in (lo, hi):
-            m = calibrate_direction(model, (t, 0.999, P2AP, V_WRITE))
-            assert f"{expected_write_energy(t, P2AP, V_WRITE, m)} J at {t} s" in message
+            m = calibrate_direction(model, (t, 0.999, P2AP))
+            assert f"{expected_write_energy(t, P2AP, m)} J at {t} s" in message

@@ -1,6 +1,7 @@
-"""Source hygiene: no unused imports, no settings read from the environment,
-no thread started, scipy kept to the LP solver, every declared script
-resolves, and every function the benchmark traces exists."""
+"""Source hygiene: no unused imports in the package or its tests, no
+settings read from the environment, no thread started, scipy kept to the LP
+solver, every declared script resolves, and every function the benchmark
+traces exists."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "mtjsc").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv"}
 
@@ -41,7 +43,7 @@ def test_scan_finds_unused_names():
     assert unused_imports(source) == ["d (line 3)", "os (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

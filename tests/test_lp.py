@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mtjsc.lp import FEAS_TOL, LpProblem, LpStatus, LpSolution, solve_lp
+from mtjsc.lp import FEAS_TOL, LpProblem, LpStatus, solve_lp
 
 
 class TestBasics:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -16,12 +17,12 @@ from mtjsc.network import (
     accuracy,
     child_seed,
     classify,
+    layer_forward_float,
     layer_forward_isc,
     load_network,
     network_forward,
     network_forward_float,
     network_from_dict,
-    neuron_forward_float,
     neuron_forward_isc,
     save_network,
     weight_sum_offset,
@@ -44,17 +45,22 @@ def bip_stream(v, n, seed):
 
 
 class TestFloatNeuron:
+    """One-neuron layers: `layer_forward_float` on a single weight column."""
+
     def test_cancellation(self):
-        a, t = neuron_forward_float([1.0, -1.0], [1.0, 1.0], 2.0)
+        w = np.array([1.0, -1.0])
+        (a,), (t,) = layer_forward_float(LayerSpec(w[:, None], 2.0), np.ones(2))
         assert a == 0.0 and t == 0.0
 
     def test_single_weight(self):
-        a, t = neuron_forward_float([0.5], [1.0], 2.0)
+        w = np.array([0.5])
+        (a,), (t,) = layer_forward_float(LayerSpec(w[:, None], 2.0), np.ones(1))
         assert a == pytest.approx(1.0)
         assert t == pytest.approx(math.tanh(1.0))
 
     def test_zero_weights(self):
-        a, t = neuron_forward_float(np.zeros(5), np.ones(5), 3.0)
+        w = np.zeros(5)
+        (a,), (t,) = layer_forward_float(LayerSpec(w[:, None], 3.0), np.ones(5))
         assert a == 0.0 and t == 0.0
 
     def test_scaled_form_matches_unipolar_sum(self):
@@ -66,7 +72,7 @@ class TestFloatNeuron:
             w = rng.uniform(-1, 1, n)
             x = rng.uniform(-1, 1, n)
             m = rng.uniform(1, 5)
-            a, _ = neuron_forward_float(w, x, m)
+            (a,), _ = layer_forward_float(LayerSpec(w[:, None], m), x)
             direct = np.sum((m * w) * ((x + 1) / 2))
             assert a == pytest.approx(direct, abs=1e-12)
 
@@ -117,7 +123,7 @@ class TestIscNeuron:
             rng = np.random.default_rng(trial)
             w = rng.uniform(-1, 1, 8)
             x = rng.uniform(-1, 1, 8)
-            _, t_ref = neuron_forward_float(w, x, 2.0)
+            _, (t_ref,) = layer_forward_float(LayerSpec(w[:, None], 2.0), x)
             srng = child_seed(trial, 2)
             xs = [bip_stream(xi, 512, 900 + 16 * trial + i)
                   for i, xi in enumerate(x)]
@@ -548,10 +554,20 @@ class TestPersistence:
         with pytest.raises(ValueError):
             EvalConfig(stream_length=100)
         EvalConfig(stream_length=512)
+        EvalConfig(stream_length=np.int64(512))
 
     def test_eval_config_names_the_length(self):
         with pytest.raises(ValueError, match="got 300"):
             EvalConfig(stream_length=300)
+
+    @pytest.mark.parametrize("length", [256.0, np.float64(256)],
+                             ids=["float", "float64"])
+    def test_eval_config_rejects_float_length(self, length):
+        """A float equal to an allowed length is refused by name, not
+        passed on to fail inside numpy."""
+        message = rf"stream_length must be one of \[.*\], got {re.escape(repr(length))}"
+        with pytest.raises(ValueError, match=message):
+            EvalConfig(stream_length=length)
 
     def test_layer_messages_name_the_value(self):
         with pytest.raises(ValueError, match=r"got shape \(3,\)"):

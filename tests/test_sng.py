@@ -60,10 +60,8 @@ class TestBitPeriod:
     def test_additive_components(self, cost_model):
         model = cost_model.switching
         params = model.params
-        t999 = pulse_width_for_probability(
-            0.999, SwitchDirection.AP_TO_P, params.v_write, model)
-        t50 = pulse_width_for_probability(
-            0.5, SwitchDirection.AP_TO_P, params.v_write, model)
+        t999 = pulse_width_for_probability(0.999, SwitchDirection.AP_TO_P, model)
+        t50 = pulse_width_for_probability(0.5, SwitchDirection.AP_TO_P, model)
         assert bit_period(NORMAL, cost_model) == params.t_reset + t999 + params.t_read
         assert bit_period(BMS, cost_model) == params.t_reset + t50 + params.t_read
 
@@ -209,15 +207,14 @@ class TestSharedPaths:
 
     def test_energy_per_bit_from_device(self, cost_model):
         model = cost_model.switching
-        v = model.params.v_write
         for kind in (NORMAL, BMS):
             for p in self.P_GRID:
                 q = write_probability(p, kind)
                 t_w = pulse_width_for_probability(
-                    min(q, WRITE_PROBABILITY_CAP), SwitchDirection.AP_TO_P, v, model)
+                    min(q, WRITE_PROBABILITY_CAP), SwitchDirection.AP_TO_P, model)
                 expected = q * cost_model.reset_energy + cost_model.read_energy
                 expected += expected_write_energy(
-                    t_w, SwitchDirection.AP_TO_P, v, model)
+                    t_w, SwitchDirection.AP_TO_P, model)
                 if kind is BMS:
                     expected += cost_model.mux_inv_energy
                 assert energy_per_bit(p, kind, cost_model) == expected
@@ -328,13 +325,12 @@ class TestSharedPaths:
 
     def test_generate_stream_energy_from_split(self, cost_model):
         model = cost_model.switching
-        v = model.params.v_write
         n = 300
         for kind in (NORMAL, BMS):
             p = 0.35
             q = write_probability(p, kind)
-            t_w = pulse_width_for_probability(q, SwitchDirection.AP_TO_P, v, model)
-            split = write_energy_split(t_w, SwitchDirection.AP_TO_P, v, model)
+            t_w = pulse_width_for_probability(q, SwitchDirection.AP_TO_P, model)
+            split = write_energy_split(t_w, SwitchDirection.AP_TO_P, model)
             _, switched = sng_bits(p, n, kind, np.random.default_rng(8))
             k = int(switched.sum())
             expected = (int(switched[:-1].sum()) * cost_model.reset_energy
