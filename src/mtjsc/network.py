@@ -33,12 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sng import FAIR_THRESHOLD, SngKind, uniform16, write_thresholds
-from .streams import (
-    Format,
-    StochasticStream,
-    default_tanh_states,
-    fsm_tanh_rows,
-)
+from .streams import default_tanh_states, fsm_tanh
 
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
 
@@ -269,7 +264,7 @@ def _stream_layers(plans: list[_LayerPlan], bits: np.ndarray,
 
     Each layer's neurons are drawn from `rng` in blocks of
     max(1, DRAW_BLOCK // words per neuron), in order, and the layer is
-    squashed in one `fsm_tanh_rows` call.
+    squashed in one `fsm_tanh` call.
     """
     n = bits.shape[1]
     for plan in plans:
@@ -282,7 +277,7 @@ def _stream_layers(plans: list[_LayerPlan], bits: np.ndarray,
             _block_levels(plan, x_bits, lo, hi, rng, levels[lo:hi])
         levels *= 2
         levels -= plan.m
-        bits = fsm_tanh_rows(levels, plan.n_states)
+        bits = fsm_tanh(levels, plan.n_states)
     return bits
 
 
@@ -330,20 +325,13 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
     return _stream_layers([_layer_plan(layer, kind, n)], x_bits, rng)
 
 
-def neuron_forward_isc(w: np.ndarray, x_streams: list[StochasticStream],
-                       m_scale: float, config: EvalConfig,
-                       rng: np.random.Generator) -> StochasticStream:
-    """One neuron of `layer_forward_isc`, on a list of input streams."""
-    w = np.asarray(w, dtype=float)
-    if len(x_streams) != w.size:
-        raise ValueError("input stream count does not match the weight row")
-    n = len(x_streams[0])
-    if any(len(s) != n for s in x_streams):
-        raise ValueError("input streams must share one length")
-    x_bits = np.stack([s.bits for s in x_streams])
-    out = layer_forward_isc(LayerSpec(w.reshape(-1, 1), m_scale), x_bits,
-                            config.sng_kind, rng)
-    return StochasticStream(out[0], Format.BIPOLAR)
+def neuron_forward_isc(w: np.ndarray, x_bits: np.ndarray, m_scale: float,
+                       config: EvalConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One neuron of `layer_forward_isc`: (n,) output bits on (fan_in, n)
+    input bits.  It stays only because `perfbench/workloads.py` traces it."""
+    return layer_forward_isc(LayerSpec(np.reshape(w, (-1, 1)), m_scale),
+                             x_bits, config.sng_kind, rng)[0]
 
 
 def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,

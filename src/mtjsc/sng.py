@@ -32,7 +32,6 @@ from .device import (
     pulse_width_for_probability,
     write_energy_split,
 )
-from .streams import Format, StochasticStream
 
 # Probability treated as "certain" when sizing write pulses; matches the
 # published worst-case write width.
@@ -189,13 +188,14 @@ def sng_bits(p, n: int, kind: SngKind,
 
 
 def generate_stream(p: float, n: int, kind: SngKind, seed,
-                    cost_model: SngCostModel) -> tuple[StochasticStream, float]:
+                    cost_model: SngCostModel) -> tuple[np.ndarray, float]:
     """Generate n bits of value p and the total energy spent doing so.
 
-    Deterministic given the seed.  The delivered stream is Bernoulli(p),
-    with the write probability quantized to 2**-16 (`write_thresholds`),
-    regardless of kind; kind changes the internal write probability and
-    therefore the cost, which is priced at the unquantized probability.
+    Returns (bits, energy), bits the (n,) uint8 array.  Deterministic given
+    the seed.  The delivered stream is Bernoulli(p), with the write
+    probability quantized to 2**-16 (`write_thresholds`), regardless of
+    kind; kind changes the internal write probability and therefore the
+    cost, which is priced at the unquantized probability.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
@@ -213,7 +213,7 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
               + n * cost_model.read_energy)
     if kind is SngKind.BMS:
         energy += n * cost_model.mux_inv_energy
-    return StochasticStream(bits, Format.UNIPOLAR), energy
+    return bits, energy
 
 
 def energy_per_bit(p: float, kind: SngKind, cost_model: SngCostModel) -> float:

@@ -1,81 +1,15 @@
-"""Stochastic and integral-stochastic streams and the FSM tanh.
+"""Bit streams and the FSM tanh.
 
-A stochastic stream is a finite sequence of bits whose fraction of 1s
-carries a value: k/n in the unipolar format, (2k - n)/n in the bipolar
-format.  An integral stream generalizes this to per-cycle integer levels in
-[0, m], equivalent to the bitwise sum of m unit streams; an adder tree's
-output is one.  A saturating counter (`fsm_tanh`, or `fsm_tanh_rows` over
-many rows at once) squashes a bipolar integral stream into a unit stream
-that approximates tanh of its value.
+A stream is an array of 0/1 bits whose share of 1s, k/n, carries the
+bipolar value (2k - n)/n.  An adder tree's output is an integral stream, one
+level in [0, m] per cycle.  `fsm_tanh` squashes one integral stream per
+row with a saturating counter driven by the steps 2 * level - m; its output
+stream approximates tanh of the input's value.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class Format(enum.Enum):
-    UNIPOLAR = "unipolar"
-    BIPOLAR = "bipolar"
-
-
-@dataclass(frozen=True)
-class StochasticStream:
-    bits: np.ndarray  # 0/1 uint8
-    format: Format = Format.UNIPOLAR
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size < 1:
-            raise ValueError("a stream needs at least one bit")
-        if bits.max(initial=0) > 1:
-            raise ValueError("stream bits must be 0 or 1")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.size
-
-
-@dataclass(frozen=True)
-class IntegralStream:
-    levels: np.ndarray  # integers in [0, m]
-    m: int
-    format: Format = Format.UNIPOLAR
-
-    def __post_init__(self):
-        levels = np.ascontiguousarray(self.levels, dtype=np.int32)
-        if levels.ndim != 1 or levels.size < 1:
-            raise ValueError("an integral stream needs at least one level")
-        if self.m < 1:
-            raise ValueError("range bound m must be >= 1")
-        if levels.min(initial=0) < 0 or levels.max(initial=0) > self.m:
-            raise ValueError("levels must lie in [0, m]")
-        levels.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-
-    def __len__(self) -> int:
-        return self.levels.size
-
-
-def value_of(stream) -> float:
-    """Value carried by a stream; exact integer arithmetic over the counts."""
-    if isinstance(stream, StochasticStream):
-        n = stream.bits.size
-        k = int(stream.bits.sum())
-        if stream.format is Format.UNIPOLAR:
-            return k / n
-        return (2 * k - n) / n
-    if isinstance(stream, IntegralStream):
-        n = stream.levels.size
-        total = int(stream.levels.sum(dtype=np.int64))
-        if stream.format is Format.UNIPOLAR:
-            return total / n
-        return 2 * total / n - stream.m
-    raise TypeError(f"not a stream: {type(stream).__name__}")
 
 
 def default_tanh_states(m: int, gain: float = 2.0) -> int:
@@ -120,7 +54,7 @@ def _compose_prefixes(maps: np.ndarray, spare: np.ndarray):
     return maps, spare
 
 
-def fsm_tanh_rows(steps: np.ndarray, n_states) -> np.ndarray:
+def fsm_tanh(steps: np.ndarray, n_states) -> np.ndarray:
     """Output bits of one saturating counter per row of signed steps.
 
     Row r starts at n_states[r] // 2; each cycle it moves by steps[r, t] and
@@ -149,7 +83,16 @@ def fsm_tanh_rows(steps: np.ndarray, n_states) -> np.ndarray:
     if steps.ndim != 2 or steps.dtype.kind != "i":
         raise ValueError("steps must be a (rows, cycles) signed integer matrix")
     rows, n = steps.shape
-    n_states = np.broadcast_to(np.asarray(n_states, dtype=np.int64), (rows,))
+    counts = np.asarray(n_states)
+    if counts.ndim and counts.shape != (rows,):
+        raise ValueError(f"n_states must be one count or one per row, not "
+                         f"shape {counts.shape} for steps {steps.shape}")
+    flat = counts.astype(float).ravel()
+    bad = flat[~((flat == np.floor(flat)) & (np.abs(flat) < 2.0**62))]
+    if bad.size:
+        raise ValueError(f"n_states must be whole and below 2**62, got "
+                         f"{bad[0]}")
+    n_states = np.broadcast_to(counts.astype(np.int64), (rows,))
     if np.any(n_states < 2) or np.any(n_states % 2 != 0):
         raise ValueError(f"n_states must be even and >= 2, got {n_states}")
     if rows == 0 or n == 0:
@@ -193,17 +136,3 @@ def fsm_tanh_rows(steps: np.ndarray, n_states) -> np.ndarray:
                      out=out.reshape(rows, chunks, span).transpose(2, 1, 0))
     return out[:, pad:].copy() if pad else out
 
-
-def fsm_tanh(a: IntegralStream, n_states: int) -> StochasticStream:
-    """Saturating up/down counter driven by the signed input levels.
-
-    The state moves by (2*level - m) each cycle, clamped to [0, n_states-1];
-    the output bit is 1 while the state sits in the upper half.  With a
-    state count matched to the input's range and variance the output stream
-    approximates tanh of the input value, in the bipolar format.
-    """
-    if a.format is not Format.BIPOLAR:
-        raise ValueError("fsm_tanh expects a bipolar input stream")
-    steps = 2 * a.levels.astype(np.int64) - a.m
-    return StochasticStream(fsm_tanh_rows(steps[None, :], n_states)[0],
-                            Format.BIPOLAR)

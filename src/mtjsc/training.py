@@ -127,15 +127,19 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
             raise ValueError(f"dims entries must be integers >= 1; entry {k} "
                              f"is {width!r}")
     x = dataset.features
+    if len(dataset) == 0:
+        raise ValueError("the training set is empty")
     if dims[0] != x.shape[1]:
         raise ValueError(f"dims {dims} do not match {x.shape[1]} features")
     if dims[-1] < dataset.n_classes:
         raise ValueError("output layer smaller than the number of classes")
     if validation is not None:
+        if len(validation) == 0:
+            raise ValueError("the validation set is empty")
         if validation.n_features != dims[0]:
             raise ValueError(f"validation has {validation.n_features} "
                              f"features; dims {dims} take {dims[0]}")
-        if validation.labels.size and validation.labels.max() >= dims[-1]:
+        if validation.labels.max() >= dims[-1]:
             raise ValueError(f"validation label {validation.labels.max()} "
                              f"has no output among the {dims[-1]} of dims {dims}")
     y = one_hot_targets(dataset.labels, dims[-1])

@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports in the package or its tests, no
-settings read from the environment, no thread started, scipy kept to the LP
-solver, every declared script resolves, and every function the benchmark
-traces exists."""
+private helper without a caller in the package, no settings read from the
+environment, no thread started, scipy kept to the LP solver, every declared
+script resolves, and every function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -46,6 +46,49 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name` functions, classes and constants of `sources`
+    (module name -> source) that no source references."""
+    defined, used = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                names = []
+            defined.extend(f"{module}.{name}" for name in names
+                           if name.startswith("_")
+                           and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(name for name in defined
+                  if name.partition(".")[2] not in used)
+
+
+def test_scan_finds_unused_private_names():
+    sources = {"a": "_K = 1\ndef _f(): return _K\ndef _g(): pass\n"
+                    "class _C: pass\n",
+               "b": "from .a import _g\n__all__ = []\n"}
+    assert unused_private_names(sources) == ["a._C", "a._f"]
+
+
+def test_no_unused_private_names():
+    """Every private helper of the package has a caller in the package;
+    references from tests do not count."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unused_private_names(sources) == []
 
 
 def test_declared_scripts_resolve():

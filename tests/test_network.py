@@ -1,14 +1,17 @@
 """Tests for float and stream-domain network evaluation."""
 
 import gc
+import importlib
 import math
+import pkgutil
 import re
 import weakref
 
 import numpy as np
 import pytest
 
-from mtjsc import network
+import mtjsc
+from mtjsc import network, streams
 from mtjsc.network import (
     INPUT_SECOND_MOMENT,
     EvalConfig,
@@ -28,20 +31,13 @@ from mtjsc.network import (
     weight_sum_offset,
 )
 from mtjsc.sng import SngKind, sng_bits
-from mtjsc.streams import (
-    Format,
-    IntegralStream,
-    StochasticStream,
-    default_tanh_states,
-    fsm_tanh,
-    value_of,
-)
+from mtjsc.streams import default_tanh_states, fsm_tanh
 
 
 def bip_stream(v, n, seed):
+    """n bits whose share of 1s carries the bipolar value v."""
     rng = np.random.default_rng(seed)
-    return StochasticStream((rng.random(n) < (v + 1) / 2).astype(np.uint8),
-                            Format.BIPOLAR)
+    return (rng.random(n) < (v + 1) / 2).astype(np.uint8)
 
 
 class TestFloatNeuron:
@@ -84,13 +80,13 @@ class TestIscNeuron:
         Bound 0.05; the mean reads -0.0002, and a 48-seed mean has a sigma
         of about 0.009, so the margin is over five sigma.
         """
-        ones = StochasticStream(np.ones(512, dtype=np.uint8), Format.BIPOLAR)
+        ones = np.ones((2, 512), dtype=np.uint8)
         vals = []
         for s in range(48):
             rng = child_seed(s, 1)
-            out = neuron_forward_isc(np.array([1.0, -1.0]), [ones, ones], 2.0,
+            out = neuron_forward_isc(np.array([1.0, -1.0]), ones, 2.0,
                                      EvalConfig(stream_length=512), rng)
-            vals.append(value_of(out))
+            vals.append(2 * out.mean() - 1)
         assert abs(np.mean(vals)) <= 0.05
 
     def test_zero_weights_statistical(self):
@@ -106,8 +102,10 @@ class TestIscNeuron:
         vals = []
         for s in range(48):
             rng = child_seed(100 + s, 1)
-            xs = [bip_stream(0.0, 512, 500 + 8 * s + i) for i in range(8)]
-            vals.append(value_of(neuron_forward_isc(np.zeros(8), xs, 2.0, cfg, rng)))
+            xs = np.stack([bip_stream(0.0, 512, 500 + 8 * s + i)
+                           for i in range(8)])
+            out = neuron_forward_isc(np.zeros(8), xs, 2.0, cfg, rng)
+            vals.append(2 * out.mean() - 1)
         assert abs(np.mean(vals)) <= 0.05
 
     def test_tracks_float_reference(self):
@@ -125,10 +123,10 @@ class TestIscNeuron:
             x = rng.uniform(-1, 1, 8)
             _, (t_ref,) = layer_forward_float(LayerSpec(w[:, None], 2.0), x)
             srng = child_seed(trial, 2)
-            xs = [bip_stream(xi, 512, 900 + 16 * trial + i)
-                  for i, xi in enumerate(x)]
-            errs.append(abs(value_of(
-                neuron_forward_isc(w, xs, 2.0, cfg, srng)) - t_ref))
+            xs = np.stack([bip_stream(xi, 512, 900 + 16 * trial + i)
+                           for i, xi in enumerate(x)])
+            out = neuron_forward_isc(w, xs, 2.0, cfg, srng)
+            errs.append(abs(2 * out.mean() - 1 - t_ref))
         assert np.mean(errs) <= 0.08
 
     @pytest.mark.parametrize("n_inputs", [1, 2, 7, 8])
@@ -152,16 +150,10 @@ class TestIscNeuron:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_extreme_weight_sum_fits_adder(self, sign):
         """All-+-1 weights (sum(w) = +-N) stay in the adder's range."""
-        ones = StochasticStream(np.ones(256, dtype=np.uint8), Format.BIPOLAR)
-        out = neuron_forward_isc(np.full(7, sign), [ones] * 7, 1.0,
+        ones = np.ones((7, 256), dtype=np.uint8)
+        out = neuron_forward_isc(np.full(7, sign), ones, 1.0,
                                  EvalConfig(stream_length=256), child_seed(0))
-        assert value_of(out) * sign > 0.9
-
-    def test_stream_length_mismatch(self):
-        xs = [bip_stream(0.0, 128, 1), bip_stream(0.0, 256, 2)]
-        with pytest.raises(ValueError):
-            neuron_forward_isc(np.zeros(2), xs, 1.0, EvalConfig(stream_length=128),
-                               child_seed(0))
+        assert (2 * out.mean() - 1) * sign > 0.9
 
 
 def reference_fair_bits(n, rng):
@@ -182,10 +174,10 @@ def reference_neuron(w, x_bits, m_scale, kind, rng):
         wb = sng_bits((wi + 1.0) / 2.0, n, kind, rng)[0]
         levels = levels + (1 - (wb ^ xb))
     levels = levels + reference_fair_bits(n, rng) + reference_fair_bits(n, rng)
-    summed = IntegralStream(levels, n_inputs + 2 * ((n_inputs + 1) // 2) + 2,
-                            Format.BIPOLAR)
+    m = n_inputs + 2 * ((n_inputs + 1) // 2) + 2
     gain = m_scale * (1.0 - np.mean(w * w) * INPUT_SECOND_MOMENT)
-    return fsm_tanh(summed, default_tanh_states(n_inputs, gain)).bits
+    return fsm_tanh((2 * levels - m)[None],
+                    default_tanh_states(n_inputs, gain))[0]
 
 
 def reference_forward(net, x, config, sample_key):
@@ -215,7 +207,7 @@ class TestLayerKernel:
         monkeypatch.setattr(network, "DRAW_BLOCK", 2 * 11 * 32)
 
     def layer_inputs(self):
-        return np.stack([bip_stream(0.2 * i - 0.8, 128, 60 + i).bits
+        return np.stack([bip_stream(0.2 * i - 0.8, 128, 60 + i)
                          for i in range(9)])
 
     @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
@@ -352,13 +344,12 @@ class TestLayerKernel:
     @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
     def test_neuron_wrapper_matches_reference(self, kind):
         w = np.random.default_rng(8).uniform(-1, 1, 6)
-        xs = [bip_stream(0.3 * i - 0.8, 256, 40 + i) for i in range(6)]
+        xs = np.stack([bip_stream(0.3 * i - 0.8, 256, 40 + i)
+                       for i in range(6)])
         cfg = EvalConfig(stream_length=256, sng_kind=kind)
         out = neuron_forward_isc(w, xs, 2.0, cfg, child_seed(3))
-        ref = reference_neuron(w, [s.bits for s in xs], 2.0, kind,
-                               child_seed(3))
-        assert out.format is Format.BIPOLAR
-        assert np.array_equal(out.bits, ref)
+        ref = reference_neuron(w, xs, 2.0, kind, child_seed(3))
+        assert np.array_equal(out, ref)
 
 
 class TestNetworkForward:
@@ -402,6 +393,28 @@ class TestNetworkForward:
                 out = network_forward(net, x, cfg, sample_key=(trial,))
                 devs[n].append(np.mean(np.abs(out - ref)))
         assert np.mean(devs[2048]) < np.mean(devs[128])
+
+    def test_traced_fsm_sees_every_layer(self, monkeypatch):
+        """A counting wrapper put on `streams.fsm_tanh` in every mtjsc
+        module that holds it, as a tracer installs one, sees one squash per
+        layer of a stream sample."""
+        original = streams.fsm_tanh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(mtjsc.__path__):
+            module = importlib.import_module(f"mtjsc.{info.name}")
+            if getattr(module, "fsm_tanh", None) is original:
+                monkeypatch.setattr(module, "fsm_tanh", counting)
+        rng = np.random.default_rng(4)
+        net = NetworkSpec((LayerSpec(rng.uniform(-1, 1, (6, 4)), 2.0),
+                           LayerSpec(rng.uniform(-1, 1, (4, 2)), 1.5)))
+        network_forward(net, rng.uniform(-1, 1, 6),
+                        EvalConfig(stream_length=128), sample_key=(0,))
+        assert len(calls) == 2
 
     def test_dimension_mismatch(self):
         net = self.net_1layer(np.zeros((4, 2)))

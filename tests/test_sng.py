@@ -104,16 +104,16 @@ class TestGenerateStream:
     def test_certain_bit(self, cost_model):
         for kind in (NORMAL, BMS):
             stream, energy = generate_stream(1.0, 8, kind, 7, cost_model)
-            assert stream.bits.tolist() == [1] * 8
+            assert stream.tolist() == [1] * 8
             assert energy > 0.0
 
     def test_normal_mean(self, cost_model):
         stream, _ = generate_stream(0.7, 10_000, NORMAL, 123, cost_model)
-        assert np.mean(stream.bits) == pytest.approx(0.7, abs=0.015)
+        assert np.mean(stream) == pytest.approx(0.7, abs=0.015)
 
     def test_bms_inverts_low_values(self, cost_model):
         stream, _ = generate_stream(0.3, 10_000, BMS, 123, cost_model)
-        assert np.mean(stream.bits) == pytest.approx(0.3, abs=0.015)
+        assert np.mean(stream) == pytest.approx(0.3, abs=0.015)
         # internally the device generated 0.7, so the cost matches p = 0.7
         assert abs(energy_per_bit(0.3, BMS, cost_model)
                    - energy_per_bit(0.7, BMS, cost_model)) < 1e-18
@@ -121,7 +121,7 @@ class TestGenerateStream:
     def test_deterministic_given_seed(self, cost_model):
         s1, e1 = generate_stream(0.42, 4096, BMS, 99, cost_model)
         s2, e2 = generate_stream(0.42, 4096, BMS, 99, cost_model)
-        assert np.array_equal(s1.bits, s2.bits)
+        assert np.array_equal(s1, s2)
         assert e1 == e2
 
     def test_unbiased_over_seeds(self, cost_model):
@@ -135,7 +135,7 @@ class TestGenerateStream:
             kind = NORMAL if trial % 2 else BMS
             stream, _ = generate_stream(p, n, kind, 10_000 + trial, cost_model)
             bound = 3.0 * np.sqrt(p * (1.0 - p) / n)
-            if abs(np.mean(stream.bits) - p) > bound:
+            if abs(np.mean(stream) - p) > bound:
                 failures += 1
         assert failures <= 0.01 * trials + 2
 
@@ -239,7 +239,7 @@ class TestSharedPaths:
             for p in (0.0, 0.2, 0.5, 0.8, 1.0):
                 stream, _ = generate_stream(p, 512, kind, 11, cost_model)
                 bits, _ = sng_bits(p, 512, kind, np.random.default_rng(11))
-                assert np.array_equal(stream.bits, bits)
+                assert np.array_equal(stream, bits)
 
     def test_bit_mapping(self):
         for kind, p, inverted in ((NORMAL, 0.2, True), (NORMAL, 0.8, True),

@@ -1,62 +1,26 @@
-"""Tests for the stream types, their values and the FSM tanh."""
+"""Tests for the FSM tanh and its state counts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mtjsc.streams import (
-    Format,
-    IntegralStream,
-    StochasticStream,
-    default_tanh_states,
-    fsm_tanh,
-    fsm_tanh_rows,
-    value_of,
-)
-
-UNI = Format.UNIPOLAR
-BIP = Format.BIPOLAR
+from mtjsc.streams import default_tanh_states, fsm_tanh
 
 
-def equal_split(s, m, n, seed, fmt=UNI):
-    """An integral stream of value s: the bitwise sum of m independent unit
-    streams, each of value s / m."""
-    unit = s / m
-    p = unit if fmt is UNI else (unit + 1.0) / 2.0
+def equal_split(s, m, n, seed):
+    """Steps 2 * level - m of an integral stream of bipolar value s: the
+    bitwise sum of m independent unit streams, each of value s / m."""
+    p = (s / m + 1.0) / 2.0
     levels = (np.random.default_rng(seed).random((m, n)) < p).sum(axis=0)
-    return IntegralStream(levels, m, fmt)
-
-
-class TestValueOf:
-    REFERENCE_BITS = np.array([0, 1, 0, 0, 1, 0, 1, 0, 0, 0])
-
-    def test_reference_stream_unipolar(self):
-        assert value_of(StochasticStream(self.REFERENCE_BITS)) == pytest.approx(0.3)
-
-    def test_reference_stream_bipolar(self):
-        s = StochasticStream(self.REFERENCE_BITS, BIP)
-        assert value_of(s) == pytest.approx(-0.4)
-
-    def test_all_ones(self):
-        assert value_of(StochasticStream(np.ones(8))) == 1.0
-
-    def test_integral_values(self):
-        levels = IntegralStream(np.array([1, 1, 2, 1, 1, 1, 2, 1]), 2)
-        assert value_of(levels) == pytest.approx(1.25)
-        bip = IntegralStream(np.array([1, 1, 2, 1, 1, 1, 2, 1]), 2, BIP)
-        assert value_of(bip) == pytest.approx(2 * 1.25 - 2)
-
-    def test_exact_rationals(self):
-        # counts over n divide exactly; no float drift for these
-        s = StochasticStream(np.array([1, 0, 1, 0], dtype=np.uint8))
-        assert value_of(s) == 0.5
+    return 2 * levels - m
 
 
 class TestFsmTanh:
     def run_point(self, s, m, n=4096, seeds=(0, 1, 2, 3)):
         k = default_tanh_states(m)
-        vals = [value_of(fsm_tanh(equal_split(s, m, n, seed=sd, fmt=BIP), k))
+        vals = [2 * fsm_tanh(equal_split(s, m, n, seed=sd)[None], k).mean() - 1
                 for sd in seeds]
         return float(np.mean(vals))
 
@@ -82,13 +46,6 @@ class TestFsmTanh:
                 for s in np.arange(-2.0, 2.01, 0.5)]
         assert all(b > a - 0.02 for a, b in zip(vals, vals[1:]))
 
-    def test_rejects_bad_inputs(self):
-        a = equal_split(0.5, 2, 64, seed=1, fmt=BIP)
-        with pytest.raises(ValueError):
-            fsm_tanh(a, 5)
-        with pytest.raises(ValueError):
-            fsm_tanh(equal_split(0.5, 2, 64, seed=1), 4)
-
     def test_default_states_even(self):
         for m in range(1, 9):
             k = default_tanh_states(m)
@@ -112,7 +69,7 @@ class TestFsmScan:
         steps = np.asarray(steps)
         before = steps.copy()
         n_states = np.broadcast_to(n_states, steps.shape[:1])
-        out = fsm_tanh_rows(steps, n_states)
+        out = fsm_tanh(steps, n_states)
         assert out.shape == steps.shape and out.dtype == np.uint8
         assert np.array_equal(steps, before)   # the caller's steps are kept
         for row, k, bits in zip(steps, n_states, out):
@@ -158,26 +115,28 @@ class TestFsmScan:
         steps = rng.integers(-9, 10, (7, 513))
         self.check(steps, np.array([2, 4, 6, 10, 18, 40, 200]))
 
-    def test_wrapper_matches_rows(self):
-        a = equal_split(0.4, 3, 500, seed=4, fmt=BIP)
-        out = fsm_tanh(a, 8)
-        assert out.format is BIP
-        assert out.bits.tolist() == fsm_reference(2 * a.levels - a.m, 8)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="even"):
-            fsm_tanh_rows(np.zeros((2, 4), dtype=int), [4, 5])
+            fsm_tanh(np.zeros((2, 4), dtype=int), [4, 5])
+        with pytest.raises(ValueError, match="even"):
+            fsm_tanh(equal_split(0.5, 2, 64, seed=1)[None], 5)
         with pytest.raises(ValueError):
-            fsm_tanh_rows(np.zeros(4, dtype=int), 4)
+            fsm_tanh(np.zeros(4, dtype=int), 4)
         with pytest.raises(ValueError):
-            fsm_tanh_rows(np.zeros((1, 4)), 4)
+            fsm_tanh(np.zeros((1, 4)), 4)
 
+    @pytest.mark.parametrize("n_states, named",
+                             [(4.5, "4.5"), ([4, 6.5], "6.5"),
+                              (np.nan, "nan"), (1e300, "1e+300")])
+    def test_non_integral_state_count_named(self, n_states, named):
+        """A count is refused by value, not truncated or wrapped by the
+        cast to int64."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"whole and below 2**62, got {named}")):
+            fsm_tanh(np.zeros((2, 4), dtype=int), n_states)
 
-class TestStreamBasics:
-    def test_rejects_empty_and_nonbinary(self):
-        with pytest.raises(ValueError):
-            StochasticStream(np.array([], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            StochasticStream(np.array([0, 2], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            IntegralStream(np.array([1, 3]), 2)
+    def test_state_count_shape_named(self):
+        named = re.escape("not shape (3,) for steps (2, 4)")
+        with pytest.raises(ValueError, match=named):
+            fsm_tanh(np.zeros((2, 4), dtype=int), [4, 6, 8])
+

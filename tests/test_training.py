@@ -134,6 +134,17 @@ class TestTrainBackprop:
             train_backprop((6, 3, 2), data, TrainConfig(epochs=1),
                            validation=validation)
 
+    def test_empty_training_set_named(self):
+        empty = self.six_feature_dataset([])
+        with pytest.raises(ValueError, match="the training set is empty"):
+            train_backprop((6, 2), empty, TrainConfig(epochs=1))
+
+    def test_empty_validation_set_named(self):
+        data = self.six_feature_dataset([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="the validation set is empty"):
+            train_backprop((6, 2), data, TrainConfig(epochs=1),
+                           validation=self.six_feature_dataset([]))
+
     @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.1])
     def test_config_rejects_bad_eta(self, eta):
         with pytest.raises(ValueError, match=f"got {eta!r}"):
