@@ -15,24 +15,27 @@ the input streams, input by input; then, layer by layer and neuron by
 neuron, the neuron's weight streams, input by input, followed by its two
 fair-bit rows.  Each row of n cycles consumes ceil(n/4) raw 64-bit words
 of `rng.bit_generator.random_raw`, read as little-endian uint16 with the
-first n kept (`sng.uniform16`).  A weight or input bit compares its
-uniform with a threshold that quantizes the write probability to 2**-16
-(`sng.write_thresholds`), and a fair bit is u < 2**15.  The kernel draws
-whole rows in blocks of neurons, in this order, on the caller's thread;
-that consumes the generator exactly as one draw per row would and leaves
-it after the sample's last word.  So outputs depend on this order and not
-on how the draws are batched.
+first n kept (`sng.uniform16`).  A weight or input bit of value p is
+(u < rint(min(p, 1 - p) * 2**16)) ^ (p >= 1/2) (`sng.write_thresholds`)
+for either SNG kind, so outputs do not depend on `EvalConfig.sng_kind`;
+a fair bit is u < 2**15.  The kernel draws whole rows in blocks of
+neurons, in this order, on the caller's thread; that consumes the
+generator exactly as one draw per row would and leaves it after the
+sample's last word.  So outputs depend on this order and not on how the
+draws are batched.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .sng import FAIR_THRESHOLD, SngKind, uniform16, write_thresholds
+from .sng import (FAIR_THRESHOLD, SngKind, sng_bits, uniform16,
+                  write_thresholds)
 from .streams import default_tanh_states, fsm_tanh
 
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
@@ -61,7 +64,7 @@ def child_seed(master, *key) -> np.random.Generator:
 class LayerSpec:
     weights: np.ndarray   # shape (fan_in, fan_out), entries in [-1, 1]
     m_scale: float        # scaling factor M >= 1
-    # (kind, n) -> _LayerPlan, filled by `_layer_plan` on first use
+    # stream length n -> _LayerPlan, filled by `_layer_plan` on first use
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -79,11 +82,14 @@ class LayerSpec:
             i, j = np.unravel_index(np.argmax(np.abs(w)), w.shape)
             raise ValueError(f"scaled weights must lie in [-1, 1]; max |w| is "
                              f"{abs(w[i, j])} at ({i}, {j})")
-        if not (np.isfinite(self.m_scale) and self.m_scale >= 1.0):
-            raise ValueError(
-                f"scaling factor M must be finite and >= 1, got {self.m_scale!r}")
+        m = self.m_scale
+        if (isinstance(m, bool) or not isinstance(m, numbers.Real)
+                or not (np.isfinite(m) and m >= 1.0)):
+            raise ValueError(f"scaling factor M must be a finite real number "
+                             f">= 1, got {m!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "m_scale", float(m))
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,9 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """How to evaluate a network: float path when stream_length is None."""
+    """How to evaluate a network: float path when stream_length is None.
+    sng_kind names the generator a run is priced as; stream bits do not
+    depend on it."""
 
     stream_length: int | None = None
     seed: int = 0
@@ -193,7 +201,7 @@ def weight_sum_offset(w_sum, n_inputs: int, n: int) -> np.ndarray:
 
 
 class _LayerPlan(NamedTuple):
-    """What the stream kernel reads of one layer for one (kind, n)."""
+    """What the stream kernel reads of one layer for one stream length n."""
 
     thresholds: np.ndarray   # (fan_out, fan_in) uint16, `write_thresholds`
     flips: np.ndarray        # (fan_out, fan_in) bool
@@ -202,19 +210,19 @@ class _LayerPlan(NamedTuple):
     n_states: np.ndarray     # (fan_out,) FSM state counts
 
 
-def _layer_plan(layer: LayerSpec, kind: SngKind, n: int) -> _LayerPlan:
-    """The layer's plan for (kind, n), built once and kept on the layer.
+def _layer_plan(layer: LayerSpec, n: int) -> _LayerPlan:
+    """The layer's plan for stream length n, built once and kept on the layer.
 
     Its arrays are read-only, since every later call shares them.
     """
-    plan = layer._plans.get((kind, n))
+    plan = layer._plans.get(n)
     if plan is not None:
         return plan
     # Sums over rows of w.T, not w.sum(axis=0): a column sum can differ in
     # the last ulp, and that can move a weight_sum_offset level.
     w_rows = np.ascontiguousarray(layer.weights.T)
     fan_in = w_rows.shape[1]
-    thresholds, _, flips = write_thresholds((w_rows + 1.0) / 2.0, kind)
+    thresholds, flips = write_thresholds((w_rows + 1.0) / 2.0)
     base_levels = weight_sum_offset(w_rows.sum(axis=1), fan_in, n) + fan_in
     variance_per_input = (1.0 - np.mean(w_rows * w_rows, axis=1)
                           * INPUT_SECOND_MOMENT)
@@ -224,7 +232,7 @@ def _layer_plan(layer: LayerSpec, kind: SngKind, n: int) -> _LayerPlan:
                       fan_in + 2 * ((fan_in + 1) // 2) + 2, n_states)
     for array in (thresholds, flips, base_levels, n_states):
         array.setflags(write=False)
-    layer._plans[(kind, n)] = plan
+    layer._plans[n] = plan
     return plan
 
 
@@ -281,7 +289,7 @@ def _stream_layers(plans: list[_LayerPlan], bits: np.ndarray,
     return bits
 
 
-def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
+def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """Stream-domain layer: XNOR products, adder tree, FSM squashing.
 
@@ -297,7 +305,7 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
     deterministic `weight_sum_offset`.  Its FSM's state count is
     M * sum_i(1 - w_i^2 E[x^2]), the adder's per-cycle variance times the
     layer gain.  These layer constants come from a plan kept on the layer
-    per (kind, n).
+    per stream length n, which no SNG kind enters.
 
     The neurons are drawn from `rng` in order, in blocks of at most
     DRAW_BLOCK words (at least one neuron), and one FSM pass squashes every
@@ -322,16 +330,15 @@ def layer_forward_isc(layer: LayerSpec, x_bits: np.ndarray, kind: SngKind,
         raise ValueError(f"x_bits entry {at} is {x_bits[at].item()!r}; "
                          "stream bits must be 0 or 1")
     x_bits = np.ascontiguousarray(x_bits, dtype=bool)
-    return _stream_layers([_layer_plan(layer, kind, n)], x_bits, rng)
+    return _stream_layers([_layer_plan(layer, n)], x_bits, rng)
 
 
 def neuron_forward_isc(w: np.ndarray, x_bits: np.ndarray, m_scale: float,
-                       config: EvalConfig,
                        rng: np.random.Generator) -> np.ndarray:
     """One neuron of `layer_forward_isc`: (n,) output bits on (fan_in, n)
     input bits.  It stays only because `perfbench/workloads.py` traces it."""
     return layer_forward_isc(LayerSpec(np.reshape(w, (-1, 1)), m_scale),
-                             x_bits, config.sng_kind, rng)[0]
+                             x_bits, rng)[0]
 
 
 def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
@@ -357,10 +364,8 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
         return network_forward_float(net, x)
     n = config.stream_length
     rng = child_seed(config.seed, 7, *sample_key)
-    thresholds, _, flips = write_thresholds((x + 1.0) / 2.0, config.sng_kind)
-    bits = ((uniform16(rng, (x.size,), n) < thresholds[:, None])
-            ^ flips[:, None])
-    plans = [_layer_plan(layer, config.sng_kind, n) for layer in net.layers]
+    bits = sng_bits((x + 1.0) / 2.0, n, rng)
+    plans = [_layer_plan(layer, n) for layer in net.layers]
     bits = _stream_layers(plans, bits, rng)
     return (2 * bits.sum(axis=1, dtype=np.int64) - n) / n
 
@@ -386,6 +391,10 @@ def accuracy(net: NetworkSpec, features: np.ndarray, labels: np.ndarray,
     problem = _label_problem(labels)
     if problem:
         raise ValueError(problem)
+    bad = np.flatnonzero((labels < 0) | (labels >= net.dims[-1]))
+    if bad.size:
+        raise ValueError(f"labels must lie in [0, {net.dims[-1]}); label "
+                         f"{bad[0]} is {labels[bad[0]].item()!r}")
     hits = 0
     for idx in range(features.shape[0]):
         outputs = network_forward(net, features[idx], config, sample_key=(idx,))
@@ -420,18 +429,24 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     if len(dims) != len(specs) + 1:
         raise ValueError(f"dims {dims} describe {len(dims) - 1} layers, but "
                          f"the document has {len(specs)}")
+    for k, d in enumerate(dims):
+        if not (_is_seed(d) and d >= 1):
+            raise ValueError(f"dims must be integers >= 1; dims entry {k} is "
+                             f"{d!r}")
     layers = []
     for k, spec in enumerate(specs):
         shape = (dims[k], dims[k + 1])
         where = f"layer {k} of {len(specs)}"
         weights = np.array(_entry(spec, "weights", where), dtype=float)
         if weights.size != shape[0] * shape[1]:
-            raise ValueError(
-                f"layer {k} of {len(specs)} has {weights.size} weights; "
-                f"dims {dims} need {shape[0]} x {shape[1]} = "
-                f"{shape[0] * shape[1]}")
-        layers.append(LayerSpec(weights.reshape(shape),
-                                float(_entry(spec, "M", where))))
+            raise ValueError(f"{where} has {weights.size} weights; dims "
+                             f"{dims} need {shape[0]} x {shape[1]} = "
+                             f"{shape[0] * shape[1]}")
+        m_scale = _entry(spec, "M", where)
+        try:
+            layers.append(LayerSpec(weights.reshape(shape), m_scale))
+        except ValueError as err:  # name the layer
+            raise ValueError(f"{where}: {err}") from None
     scaling = None
     if "feature_scaling" in doc:
         scaling = tuple(np.array(_entry(doc["feature_scaling"], key,

@@ -8,10 +8,11 @@ biased variant (BMS) always writes the cheaper of p and 1 - p internally
 and restores the requested value with an inverting mux, which caps the
 worst-case write pulse at the 50%-probability width.
 
-`write_thresholds` quantizes the write probability to 2**-16 and holds the
-delivered-bit map; `sng_bits` applies them to 16-bit uniforms drawn from
-raw generator words, for both generators and for the network's stream
-path.  The per-outcome write energies come from
+Both deliver Bernoulli(p) bits through one map: `write_thresholds`
+quantizes min(p, 1 - p) to 2**-16 and inverts from p = 1/2 on, and
+`sng_bits` applies it to 16-bit uniforms from raw generator words, also on
+the network's stream path.  The kind changes only what a bit costs:
+`generate_stream` derives the switched writes from it, priced by
 `device.write_energy_split`, cached per model by capped write probability.
 """
 
@@ -145,64 +146,57 @@ def uniform16(rng: np.random.Generator, rows: tuple, n: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u2")[..., :n]
 
 
-def write_thresholds(p, kind: SngKind):
-    """Quantized write thresholds and bit maps for a float or array of p.
+def write_thresholds(p):
+    """Quantized write thresholds and inversions for a float or array of p.
 
-    The write probability q = write_probability(p, kind) is quantized to
-    c = rint(q * 2**16).  A cycle with 16-bit uniform u switches when
-    u < c for c <= 2**15 and when NOT(u < 2**16 - c) otherwise, so every
-    threshold fits uint16, q = 0 never switches and q = 1 always does.
-    Returns (threshold, high, flip), each of p's shape: switched is
-    (u < threshold) ^ high, and the delivered bit is (u < threshold) ^ flip.
-    The normal generator delivers the inverted stored bit; BMS inverts
-    only where p >= 0.5, where it writes 1 - p.  Except within 2**-17 of
-    p = 1/2, both kinds reach the same threshold and flip, so they deliver
-    the same bits from the same uniforms and differ only in which writes
-    switch.
+    Returns (threshold, flip), each of p's shape: threshold is
+    c = rint(min(p, 1 - p) * 2**16) as uint16, at most 2**15, and flip is
+    p >= 0.5.  A cycle with 16-bit uniform u delivers (u < threshold) ^ flip,
+    so p = 0 and p = 1 give constant streams.  This is the BMS map, and
+    either kind delivers its bits; the kind sets only which writes switch
+    (`generate_stream`).
     """
     p = np.asarray(p, dtype=float)
-    c = np.rint(write_probability(p, kind) * THRESHOLD_ONE)
-    high = c > FAIR_THRESHOLD
-    threshold = np.where(high, THRESHOLD_ONE - c, c).astype(np.uint16)
-    invert = True if kind is SngKind.NORMAL else p >= 0.5
-    return threshold, high, high ^ invert
+    c = np.rint(write_probability(p, SngKind.BMS) * THRESHOLD_ONE)
+    return c.astype(np.uint16), p >= 0.5
 
 
-def sng_bits(p, n: int, kind: SngKind,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Delivered bits and switched-write mask of n generator cycles at value p.
+def sng_bits(p, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Delivered bits of n generator cycles at value p, as uint8.
 
-    p is a float or an array of values; the results have shape
+    p is a float or an array of values; the result has shape
     p.shape + (n,).  Each row compares n 16-bit uniforms, drawn by
     `uniform16` from ceil(n/4) raw 64-bit words, with the row's quantized
-    threshold from `write_thresholds`.  The rows are drawn in C order, so
-    row i holds the bits that a call at p[i] alone would draw next, for
-    any n.  A cycle's write switches with probability
-    rint(q * 2**16) / 2**16 for q = write_probability(p, kind).  p is not
-    validated here: this is the stream path's hot loop, and its callers
-    check p.
+    threshold from `write_thresholds`, and inverts where p >= 1/2.  The
+    rows are drawn in C order, so row i holds the bits that a call at p[i]
+    alone would draw next, for any n.  p is not validated here: this is
+    the stream path's hot loop, and its callers check p.
     """
-    threshold, high, flip = write_thresholds(p, kind)
+    threshold, flip = write_thresholds(p)
     below = uniform16(rng, threshold.shape, n) < threshold[..., None]
-    return (below ^ flip[..., None]).view(np.uint8), below ^ high[..., None]
+    return (below ^ flip[..., None]).view(np.uint8)
 
 
 def generate_stream(p: float, n: int, kind: SngKind, seed,
                     cost_model: SngCostModel) -> tuple[np.ndarray, float]:
     """Generate n bits of value p and the total energy spent doing so.
 
-    Returns (bits, energy), bits the (n,) uint8 array.  Deterministic given
-    the seed.  The delivered stream is Bernoulli(p), with the write
-    probability quantized to 2**-16 (`write_thresholds`), regardless of
-    kind; kind changes the internal write probability and therefore the
-    cost, which is priced at the unquantized probability.
+    Returns (bits, energy): bits, the (n,) uint8 array of `sng_bits`, do
+    not depend on kind, which sets only the switched writes.  The normal
+    generator stores inverted bits, so its writes switch where a 0 is
+    delivered; BMS inverts where p >= 1/2, so its writes switch where the
+    bit differs from p >= 1/2.  So the switched fraction follows the write
+    probability quantized to 2**-16, within 5 binomial standard errors
+    over 2**20 cycles in the tests.  Each outcome is priced at the
+    unquantized write probability.  Deterministic given the seed.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     split = _write_split(write_probability(p, kind), cost_model)
-    bits, switched = sng_bits(p, n, kind, np.random.default_rng(seed))
+    bits = sng_bits(p, n, np.random.default_rng(seed))
+    switched = bits != (kind is SngKind.NORMAL or p >= 0.5)
     n_switched = int(switched.sum())
     # Reset precedes every bit whose previous write switched the device;
     # the device starts in the reset state, so bit 0 never needs one.
@@ -233,15 +227,3 @@ def bit_period(kind: SngKind, cost_model: SngCostModel) -> float:
     if kind is SngKind.NORMAL:
         return cost_model.bit_period_normal
     return cost_model.bit_period_bms
-
-
-def mean_energy_per_bit(kind: SngKind, cost_model: SngCostModel) -> float:
-    """Trapezoid-rule mean of energy_per_bit over 201 points of p in [0, 1]."""
-    ps = np.linspace(0.0, 1.0, 201)
-    es = np.array([energy_per_bit(p, kind, cost_model) for p in ps])
-    return float(np.trapezoid(es, ps))
-
-
-def average_power(kind: SngKind, cost_model: SngCostModel) -> float:
-    """Mean per-bit energy over uniform p divided by the bit period."""
-    return mean_energy_per_bit(kind, cost_model) / bit_period(kind, cost_model)

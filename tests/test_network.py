@@ -84,8 +84,7 @@ class TestIscNeuron:
         vals = []
         for s in range(48):
             rng = child_seed(s, 1)
-            out = neuron_forward_isc(np.array([1.0, -1.0]), ones, 2.0,
-                                     EvalConfig(stream_length=512), rng)
+            out = neuron_forward_isc(np.array([1.0, -1.0]), ones, 2.0, rng)
             vals.append(2 * out.mean() - 1)
         assert abs(np.mean(vals)) <= 0.05
 
@@ -98,13 +97,12 @@ class TestIscNeuron:
         not a bias.  If a change pushes it past 0.05, measure the bias over
         fresh seeds before anything else; the bound stays.
         """
-        cfg = EvalConfig(stream_length=512)
         vals = []
         for s in range(48):
             rng = child_seed(100 + s, 1)
             xs = np.stack([bip_stream(0.0, 512, 500 + 8 * s + i)
                            for i in range(8)])
-            out = neuron_forward_isc(np.zeros(8), xs, 2.0, cfg, rng)
+            out = neuron_forward_isc(np.zeros(8), xs, 2.0, rng)
             vals.append(2 * out.mean() - 1)
         assert abs(np.mean(vals)) <= 0.05
 
@@ -115,7 +113,6 @@ class TestIscNeuron:
         100-trial mean of |delta t| has a sigma near 0.006).  Ten disjoint
         100-trial sets under this construction read 0.049-0.062.
         """
-        cfg = EvalConfig(stream_length=512)
         errs = []
         for trial in range(100):
             rng = np.random.default_rng(trial)
@@ -125,7 +122,7 @@ class TestIscNeuron:
             srng = child_seed(trial, 2)
             xs = np.stack([bip_stream(xi, 512, 900 + 16 * trial + i)
                            for i, xi in enumerate(x)])
-            out = neuron_forward_isc(w, xs, 2.0, cfg, srng)
+            out = neuron_forward_isc(w, xs, 2.0, srng)
             errs.append(abs(2 * out.mean() - 1 - t_ref))
         assert np.mean(errs) <= 0.08
 
@@ -151,8 +148,7 @@ class TestIscNeuron:
     def test_extreme_weight_sum_fits_adder(self, sign):
         """All-+-1 weights (sum(w) = +-N) stay in the adder's range."""
         ones = np.ones((7, 256), dtype=np.uint8)
-        out = neuron_forward_isc(np.full(7, sign), ones, 1.0,
-                                 EvalConfig(stream_length=256), child_seed(0))
+        out = neuron_forward_isc(np.full(7, sign), ones, 1.0, child_seed(0))
         assert (2 * out.mean() - 1) * sign > 0.9
 
 
@@ -166,12 +162,12 @@ def reference_fair_bits(n, rng):
     return np.array([u < 1 << 15 for u in uniforms], dtype=np.int64)
 
 
-def reference_neuron(w, x_bits, m_scale, kind, rng):
+def reference_neuron(w, x_bits, m_scale, rng):
     """One neuron, one sng_bits call per input, then two fair-bit rows."""
     n_inputs, n = len(w), len(x_bits[0])
     levels = weight_sum_offset(w.sum(), n_inputs, n)
     for wi, xb in zip(w, x_bits):
-        wb = sng_bits((wi + 1.0) / 2.0, n, kind, rng)[0]
+        wb = sng_bits((wi + 1.0) / 2.0, n, rng)
         levels = levels + (1 - (wb ^ xb))
     levels = levels + reference_fair_bits(n, rng) + reference_fair_bits(n, rng)
     m = n_inputs + 2 * ((n_inputs + 1) // 2) + 2
@@ -181,13 +177,13 @@ def reference_neuron(w, x_bits, m_scale, kind, rng):
 
 
 def reference_forward(net, x, config, sample_key):
-    """The stream path sample by sample, neuron by neuron, input by input."""
-    n, kind = config.stream_length, config.sng_kind
+    """The stream path sample by sample, neuron by neuron, input by input;
+    it reads no SNG kind."""
+    n = config.stream_length
     rng = child_seed(config.seed, 7, *sample_key)
-    bits = [sng_bits((xi + 1.0) / 2.0, n, kind, rng)[0] for xi in x]
+    bits = [sng_bits((xi + 1.0) / 2.0, n, rng) for xi in x]
     for layer in net.layers:
-        bits = [reference_neuron(layer.weights[:, j], bits, layer.m_scale,
-                                 kind, rng)
+        bits = [reference_neuron(layer.weights[:, j], bits, layer.m_scale, rng)
                 for j in range(layer.weights.shape[1])]
     return np.array([(2 * int(b.sum()) - n) / n for b in bits])
 
@@ -210,6 +206,7 @@ class TestLayerKernel:
         return np.stack([bip_stream(0.2 * i - 0.8, 128, 60 + i)
                          for i in range(9)])
 
+    # either kind: the reference reads none
     @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
     # None keeps every draw in one block; 1 draws one row per block, and
     # 3 * 32 words (three rows at n = 128) splits the 9 input rows evenly
@@ -238,9 +235,9 @@ class TestLayerKernel:
         rng, ref = child_seed(4), child_seed(4)
         assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
         assert rng.bit_generator.state["has_uint32"] == 1
-        out = layer_forward_isc(layer, x_bits, SngKind.BMS, rng)
+        out = layer_forward_isc(layer, x_bits, rng)
         expect = [reference_neuron(layer.weights[:, j], x_bits, layer.m_scale,
-                                   SngKind.BMS, ref) for j in range(5)]
+                                   ref) for j in range(5)]
         assert np.array_equal(out, np.stack(expect))
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
@@ -262,8 +259,7 @@ class TestLayerKernel:
             LayerSpec(rng.uniform(-1, 1, (4, 3)), 2.0)))
         for trial in range(2):
             x = -sign * rng.uniform(0.9, 1.0, 300)
-            cfg = EvalConfig(stream_length=128, seed=trial,
-                             sng_kind=SngKind.NORMAL)
+            cfg = EvalConfig(stream_length=128, seed=trial)
             out = network_forward(net, x, cfg, sample_key=(trial,))
             assert np.array_equal(out, reference_forward(net, x, cfg,
                                                          (trial,)))
@@ -278,9 +274,9 @@ class TestLayerKernel:
         x_bits = self.layer_inputs()
         rng = np.random.Generator(bit_generator(9))
         ref = np.random.Generator(bit_generator(9))
-        out = layer_forward_isc(layer, x_bits, SngKind.NORMAL, rng)
+        out = layer_forward_isc(layer, x_bits, rng)
         expect = [reference_neuron(layer.weights[:, j], x_bits, layer.m_scale,
-                                   SngKind.NORMAL, ref) for j in range(5)]
+                                   ref) for j in range(5)]
         assert np.array_equal(out, np.stack(expect))
         assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
@@ -293,13 +289,12 @@ class TestLayerKernel:
         refs = []
         for trial, w in enumerate(weights):
             layer = LayerSpec(w, 1.5)
-            out = layer_forward_isc(layer, x_bits, SngKind.BMS,
-                                    child_seed(trial))
+            out = layer_forward_isc(layer, x_bits, child_seed(trial))
             ref_rng = child_seed(trial)
-            expect = [reference_neuron(w[:, j], x_bits, 1.5, SngKind.BMS,
-                                       ref_rng) for j in range(5)]
+            expect = [reference_neuron(w[:, j], x_bits, 1.5, ref_rng)
+                      for j in range(5)]
             assert np.array_equal(out, np.stack(expect))
-            assert list(layer._plans) == [(SngKind.BMS, 128)]
+            assert list(layer._plans) == [128]
             refs.append(weakref.ref(layer))
             del layer
         gc.collect()
@@ -309,13 +304,13 @@ class TestLayerKernel:
         layer = LayerSpec(np.zeros((3, 2)), 1.0)
         with pytest.raises(ValueError, match=r"got shape \(128,\)"):
             layer_forward_isc(layer, np.zeros(128, dtype=np.uint8),
-                              SngKind.BMS, child_seed(0))
+                              child_seed(0))
 
     def test_no_cycles_named(self):
         layer = LayerSpec(np.zeros((3, 2)), 1.0)
         with pytest.raises(ValueError, match=r"no cycles: shape \(3, 0\)"):
             layer_forward_isc(layer, np.zeros((3, 0), dtype=np.uint8),
-                              SngKind.BMS, child_seed(0))
+                              child_seed(0))
 
     @pytest.mark.parametrize("value", [3, 0.4, -1, float("nan")])
     def test_non_bit_entry_named(self, value):
@@ -325,30 +320,28 @@ class TestLayerKernel:
         with pytest.raises(ValueError,
                            match=rf"entry \(1, 5\) is {float(value)!r}; "
                                  "stream bits must be 0 or 1"):
-            layer_forward_isc(layer, x_bits, SngKind.BMS, child_seed(0))
+            layer_forward_isc(layer, x_bits, child_seed(0))
 
     def test_bool_and_float_bits_match_uint8(self):
         layer = self.small_net().layers[0]
         x_bits = self.layer_inputs()
-        expect = layer_forward_isc(layer, x_bits, SngKind.BMS, child_seed(1))
+        expect = layer_forward_isc(layer, x_bits, child_seed(1))
         for bits in (x_bits.astype(bool), x_bits.astype(float)):
-            out = layer_forward_isc(layer, bits, SngKind.BMS, child_seed(1))
+            out = layer_forward_isc(layer, bits, child_seed(1))
             assert out.dtype == np.uint8 and np.array_equal(out, expect)
 
     def test_fan_in_mismatch(self):
         layer = LayerSpec(np.zeros((3, 2)), 1.0)
         with pytest.raises(ValueError, match="1 input streams"):
             layer_forward_isc(layer, np.zeros((1, 128), dtype=np.uint8),
-                              SngKind.BMS, child_seed(0))
+                              child_seed(0))
 
-    @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
-    def test_neuron_wrapper_matches_reference(self, kind):
+    def test_neuron_wrapper_matches_reference(self):
         w = np.random.default_rng(8).uniform(-1, 1, 6)
         xs = np.stack([bip_stream(0.3 * i - 0.8, 256, 40 + i)
                        for i in range(6)])
-        cfg = EvalConfig(stream_length=256, sng_kind=kind)
-        out = neuron_forward_isc(w, xs, 2.0, cfg, child_seed(3))
-        ref = reference_neuron(w, xs, 2.0, kind, child_seed(3))
+        out = neuron_forward_isc(w, xs, 2.0, child_seed(3))
+        ref = reference_neuron(w, xs, 2.0, child_seed(3))
         assert np.array_equal(out, ref)
 
 
@@ -416,6 +409,26 @@ class TestNetworkForward:
                         EvalConfig(stream_length=128), sample_key=(0,))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("dims, n", [((196, 100, 10), 256),
+                                         ((60, 20, 2), 1024)],
+                             ids=["196-100-10", "60-20-2"])
+    def test_kind_does_not_change_outputs(self, dims, n):
+        """NORMAL and BMS configs give identical outputs, also with one
+        weight and one input at p = 1/2 - 2**-18, whose min(p, 1 - p) and
+        1 - p both round to 2**15."""
+        rng = np.random.default_rng(sum(dims))
+        weights = [rng.uniform(-1, 1, shape)
+                   for shape in zip(dims[:-1], dims[1:])]
+        weights[0][3, 1] = -2.0**-17
+        net = NetworkSpec(tuple(LayerSpec(w, 2.0) for w in weights))
+        for k in range(3):
+            x = rng.uniform(-1, 1, dims[0])
+            x[5] = -2.0**-17
+            normal, bms = (network_forward(
+                net, x, EvalConfig(stream_length=n, seed=k, sng_kind=kind),
+                sample_key=(k,)) for kind in (SngKind.NORMAL, SngKind.BMS))
+            assert np.array_equal(normal, bms)
+
     def test_dimension_mismatch(self):
         net = self.net_1layer(np.zeros((4, 2)))
         with pytest.raises(ValueError):
@@ -441,10 +454,9 @@ class TestGolden:
     """Pinned stream outputs of a tiny net: a change to the draw order, the
     word layout or the threshold quantization fails here.
 
-    Away from p = 1/2 both kinds map p to the same threshold and flip (BMS
-    writes min(p, 1 - p), NORMAL 1 - p), so they deliver the same bits from
-    the same uniforms and share the pinned outputs; the float outputs are
-    0.710, 0.229 and 0.168.
+    Both kinds deliver the bits of the one map (u < rint(min(p, 1 - p) *
+    2**16)) ^ (p >= 1/2), so they share the pinned outputs; the float
+    outputs are 0.710, 0.229 and 0.168.
     """
 
     NET = NetworkSpec((
@@ -500,6 +512,15 @@ class TestClassify:
         feats = np.array([[1.0], [1.0]])
         assert accuracy(net, feats, np.array([0.0, 1.0]), EvalConfig()) == 0.5
 
+    @pytest.mark.parametrize("label", [7, -1, 2.0])
+    def test_out_of_range_label_named(self, label):
+        """A label outside [0, outputs) is refused by name, not counted as
+        a miss."""
+        net = NetworkSpec((LayerSpec(np.array([[1.0, -1.0]]), 1.0),))
+        with pytest.raises(ValueError, match=rf"labels must lie in \[0, 2\); "
+                                             rf"label 1 is {label!r}$"):
+            accuracy(net, np.ones((2, 1)), np.array([0, label]), EvalConfig())
+
     def test_empty_dataset_rejected(self):
         net = NetworkSpec((LayerSpec(np.array([[1.0, -1.0]]), 1.0),))
         with pytest.raises(ValueError):
@@ -523,7 +544,7 @@ class TestPersistence:
         assert np.array_equal(back.feature_scaling[0], net.feature_scaling[0])
         assert np.array_equal(back.feature_scaling[1], net.feature_scaling[1])
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             LayerSpec(np.array([[1.5]]), 1.0)
         with pytest.raises(ValueError):
@@ -531,6 +552,16 @@ class TestPersistence:
         with pytest.raises(ValueError):
             NetworkSpec((LayerSpec(np.zeros((3, 2)), 1.0),
                          LayerSpec(np.zeros((4, 1)), 1.0)))
+        for m_scale in (True, np.True_, "2", None, np.array(2.0)):
+            with pytest.raises(ValueError, match=rf"M must be a finite real "
+                                                 rf"number >= 1, got "
+                                                 rf"{re.escape(repr(m_scale))}$"):
+                LayerSpec(np.array([[0.5]]), m_scale)
+        # a numpy scalar M is kept as a Python float, so it saves as JSON
+        layer = LayerSpec(np.array([[0.5]]), np.float32(1.5))
+        assert type(layer.m_scale) is float and layer.m_scale == 1.5
+        save_network(NetworkSpec((layer,)), tmp_path / "net.json")
+        assert load_network(tmp_path / "net.json").layers[0].m_scale == 1.5
 
     @pytest.mark.parametrize("m_scale", [float("nan"), float("inf")])
     def test_non_finite_m_rejected(self, m_scale):
@@ -648,6 +679,26 @@ class TestPersistence:
             owner = owner[step]
         del owner[key]
         with pytest.raises(ValueError, match=message):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("dims, at", [([-2, -2], "entry 0 is -2"),
+                                          ([2.5, 2], "entry 0 is 2.5"),
+                                          ([2, 0], "entry 1 is 0"),
+                                          ([2, True], "entry 1 is True")])
+    def test_dims_entries_named(self, dims, at):
+        doc = {"dims": dims, "layers": [{"M": 1.0, "weights": [0.5, -0.5]}]}
+        with pytest.raises(ValueError, match=rf"dims must be integers >= 1; "
+                                             rf"dims {at}$"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("m_scale", [None, "abc", True, 0.5])
+    def test_bad_m_names_the_layer(self, m_scale):
+        doc = {"dims": [2, 1, 1],
+               "layers": [{"M": 1.0, "weights": [0.5, -0.5]},
+                          {"M": m_scale, "weights": [0.5]}]}
+        with pytest.raises(ValueError, match=rf"^layer 1 of 2: scaling factor "
+                                             rf"M must .*, got "
+                                             rf"{re.escape(repr(m_scale))}$"):
             network_from_dict(doc)
 
     def test_weight_count_must_match_dims(self):

@@ -15,12 +15,10 @@ from mtjsc.device import (
 from mtjsc.sng import (
     WRITE_PROBABILITY_CAP,
     SngKind,
-    average_power,
     bit_period,
     build_cost_model,
     energy_per_bit,
     generate_stream,
-    mean_energy_per_bit,
     sng_bits,
     write_probability,
     write_thresholds,
@@ -35,21 +33,29 @@ def cost_model():
     return build_cost_model()
 
 
-def reference_switched(p, n, kind, rng):
-    """n switched-write flags at value p, one Python int at a time.
-
-    Word k of the generator's raw output gives the 16-bit uniforms
-    4k..4k+3, from its low bits up.  The write probability is quantized to
-    c = round(q * 2**16); a cycle switches when u < c for c <= 2**15 and
-    when not u < 2**16 - c otherwise.
-    """
+def reference_uniforms(n, rng):
+    """n 16-bit uniforms as Python ints: word k of the generator's raw
+    output gives the uniforms 4k..4k+3, from its low bits up."""
     words = rng.bit_generator.random_raw(-(-n // 4))
-    uniforms = [(int(word) >> (16 * k)) & 0xFFFF
-                for word in words for k in range(4)][:n]
-    c = round(write_probability(p, kind) * 2**16)
-    if c <= 2**15:
-        return np.array([u < c for u in uniforms])
-    return np.array([not u < 2**16 - c for u in uniforms])
+    return [(int(word) >> (16 * k)) & 0xFFFF
+            for word in words for k in range(4)][:n]
+
+
+def reference_bits(p, n, rng):
+    """n delivered bits at value p, one Python int at a time: a bit is
+    (u < round(min(p, 1 - p) * 2**16)) XOR (p >= 1/2)."""
+    p = float(p)
+    c = round(min(p, 1.0 - p) * 2**16)
+    return np.array([(u < c) != (p >= 0.5) for u in reference_uniforms(n, rng)])
+
+
+def reference_switched(p, n, kind, rng):
+    """n switched-write flags at value p: BMS writes min(p, 1 - p), so its
+    write switches where u < round(min(p, 1 - p) * 2**16), the delivered
+    bit XOR (p >= 1/2); the normal generator stores the inverted delivered
+    bit, so its write switches where a 0 is delivered."""
+    bits = reference_bits(p, n, rng)
+    return bits ^ (p >= 0.5) if kind is BMS else ~bits
 
 
 class TestBitPeriod:
@@ -87,13 +93,9 @@ class TestWriteProbability:
         """A kind that is not a SngKind is refused by name, not priced as
         BMS."""
         calls = (lambda: write_probability(0.3, kind),
-                 lambda: write_thresholds(0.3, kind),
-                 lambda: sng_bits(0.3, 8, kind, np.random.default_rng(0)),
                  lambda: generate_stream(0.3, 8, kind, 0, cost_model),
                  lambda: energy_per_bit(0.3, kind, cost_model),
-                 lambda: bit_period(kind, cost_model),
-                 lambda: mean_energy_per_bit(kind, cost_model),
-                 lambda: average_power(kind, cost_model))
+                 lambda: bit_period(kind, cost_model))
         for call in calls:
             with pytest.raises(TypeError, match=re.escape(
                     f"kind must be a SngKind, got {kind!r}")):
@@ -185,20 +187,6 @@ class TestEnergyPerBit:
             assert energy_per_bit(1.0, kind, cost_model) < mid
         assert energy_per_bit(0.0, BMS, cost_model) < energy_per_bit(0.5, BMS, cost_model)
 
-    def test_normal_uniform_average(self, cost_model):
-        avg = mean_energy_per_bit(NORMAL, cost_model)
-        assert avg == pytest.approx(0.59e-12, rel=0.15)
-
-
-class TestAveragePower:
-    def test_bms_power_band(self, cost_model):
-        assert average_power(BMS, cost_model) == pytest.approx(62e-6, rel=0.20)
-
-    def test_power_is_energy_over_period(self, cost_model):
-        for kind in (NORMAL, BMS):
-            assert average_power(kind, cost_model) == pytest.approx(
-                mean_energy_per_bit(kind, cost_model) / bit_period(kind, cost_model))
-
 
 class TestSharedPaths:
     """The one bit draw and the one energy split, pinned with exact equality."""
@@ -238,105 +226,110 @@ class TestSharedPaths:
         for kind in (NORMAL, BMS):
             for p in (0.0, 0.2, 0.5, 0.8, 1.0):
                 stream, _ = generate_stream(p, 512, kind, 11, cost_model)
-                bits, _ = sng_bits(p, 512, kind, np.random.default_rng(11))
+                bits = sng_bits(p, 512, np.random.default_rng(11))
                 assert np.array_equal(stream, bits)
 
     def test_bit_mapping(self):
-        for kind, p, inverted in ((NORMAL, 0.2, True), (NORMAL, 0.8, True),
-                                  (BMS, 0.2, False), (BMS, 0.8, True)):
-            bits, switched = sng_bits(p, 256, kind, np.random.default_rng(3))
-            assert np.array_equal(bits.astype(bool), switched ^ inverted)
+        """Below p = 1/2 a bit is u < c; from p = 1/2 on it is inverted."""
+        for p in (0.2, 0.5 - 2**-18, 0.5, 0.8):
+            bits = sng_bits(p, 256, np.random.default_rng(3))
+            ref = reference_bits(p, 256, np.random.default_rng(3))
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits.astype(bool), ref)
 
-    @pytest.mark.parametrize("kind", [NORMAL, BMS])
-    def test_array_p_matches_per_p_calls(self, kind):
+    def test_array_p_matches_per_p_calls(self):
         """One call on an array of p equals one per-row reference draw per
-        p, in order, with the bit map rebuilt from the scalar
-        write_probability."""
+        p, in order."""
         ps = np.concatenate([[0.0, 0.5, 1.0, 0.25, 0.75],
                              np.random.default_rng(5).uniform(0, 1, 7)])
         for shape in ((12,), (3, 4)):
-            bits, switched = sng_bits(ps.reshape(shape), 64, kind,
-                                      np.random.default_rng(9))
-            assert bits.shape == switched.shape == shape + (64,)
+            bits = sng_bits(ps.reshape(shape), 64, np.random.default_rng(9))
+            assert bits.shape == shape + (64,)
             rng = np.random.default_rng(9)
-            for p, row_bits, row_switched in zip(
-                    ps, bits.reshape(-1, 64), switched.reshape(-1, 64)):
-                ref_switched = reference_switched(p, 64, kind, rng)
-                inverted = kind is NORMAL or p >= 0.5
-                assert np.array_equal(row_switched, ref_switched)
-                assert np.array_equal(row_bits.astype(bool),
-                                      ref_switched ^ inverted)
+            for p, row in zip(ps, bits.reshape(-1, 64)):
+                assert np.array_equal(row.astype(bool),
+                                      reference_bits(p, 64, rng))
 
     @pytest.mark.parametrize("n", [*range(1, 10), 128])
     @pytest.mark.parametrize("kind", [NORMAL, BMS])
-    def test_block_rows_equal_per_row_calls(self, kind, n):
-        """Each row of a block draw equals a scalar call made next, for
-        lengths that end mid-word and on a word boundary."""
+    def test_block_rows_equal_per_row_calls(self, cost_model, kind, n):
+        """Each row of a block draw equals a scalar call made next, and
+        `generate_stream` under either kind delivers a fresh scalar call's
+        bits, for lengths that end mid-word and on a word boundary."""
         ps = np.random.default_rng(n).uniform(0, 1, 5)
-        bits, switched = sng_bits(ps, n, kind, np.random.default_rng(4))
+        bits = sng_bits(ps, n, np.random.default_rng(4))
         rng = np.random.default_rng(4)
-        for p, row_bits, row_switched in zip(ps, bits, switched):
-            ref_bits, ref_switched = sng_bits(p, n, kind, rng)
-            assert np.array_equal(row_bits, ref_bits)
-            assert np.array_equal(row_switched, ref_switched)
+        for p, row in zip(ps, bits):
+            assert np.array_equal(row, sng_bits(p, n, rng))
+            stream, _ = generate_stream(p, n, kind, 4, cost_model)
+            assert np.array_equal(stream, sng_bits(p, n,
+                                                   np.random.default_rng(4)))
 
     @pytest.mark.parametrize("kind", [NORMAL, BMS])
-    def test_certain_write_probabilities_are_constant(self, kind):
-        """q = 0 never switches and q = 1 always does, so p = 0 and p = 1
-        (weights of -1 and +1) give constant streams."""
+    def test_certain_write_probabilities_are_constant(self, cost_model, kind):
+        """p = 0 and p = 1 (weights of -1 and +1) give constant streams
+        under either kind; `test_generate_stream_energy_from_split` prices
+        their writes, all switched where q = 1 and none where q = 0."""
         for p in (0.0, 1.0):
-            bits, switched = sng_bits(p, 4096, kind, np.random.default_rng(2))
+            bits, _ = generate_stream(p, 4096, kind, 2, cost_model)
             assert np.array_equal(bits, np.full(4096, p, dtype=np.uint8))
-            assert np.array_equal(switched,
-                                  np.full(4096, write_probability(p, kind) == 1))
 
     def test_thresholds_quantize_to_2_16(self):
-        """c = rint(q * 2**16); thresholds above 2**15 are stored as
-        2**16 - c with the compare inverted."""
-        ps = np.array([0.0, 1.0, 0.5, 0.75, 0.2, 3 / 2**17, 5 / 2**17, 1 / 3])
-        threshold, high, flip = write_thresholds(ps, NORMAL)
-        # q = 1 - p: 1, 0, 1/2, 1/4, 0.8, 1 - 1.5/2**16 and 1 - 2.5/2**16
-        # (ties, both to the even 2**16 - 2) and 2/3
+        """c = rint(min(p, 1 - p) * 2**16), at most 2**15, and the bit is
+        inverted from p = 1/2 on."""
+        ps = np.array([0.0, 1.0, 0.5, 0.75, 0.2, 3 / 2**17, 5 / 2**17, 1 / 3,
+                       0.5 - 2**-18])
+        threshold, flip = write_thresholds(ps)
+        # min(p, 1 - p): 0, 0, 1/2, 1/4, 0.2, 1.5/2**16 and 2.5/2**16 (ties,
+        # both to the even 2), 1/3 and 1/2 - 2**-18 (to 2**15)
         assert threshold.dtype == np.uint16
-        assert threshold.tolist() == [0, 0, 2**15, 2**14, 13107, 2, 2, 21845]
-        assert high.tolist() == [True, False, False, False, True, True, True,
-                                 True]
-        assert np.array_equal(flip, ~high)
-        threshold, high, flip = write_thresholds(ps, BMS)
-        assert threshold.tolist() == [0, 0, 2**15, 2**14, 13107, 2, 2, 21845]
-        assert not high.any()
+        assert threshold.tolist() == [0, 0, 2**15, 2**14, 13107, 2, 2, 21845,
+                                      2**15]
         assert np.array_equal(flip, ps >= 0.5)
 
-    @pytest.mark.parametrize("kind", [NORMAL, BMS])
-    def test_switch_frequency_is_quantized_q(self, kind):
-        """Over 2**20 cycles the switch frequency matches c / 2**16.
+    # codes 0, 1, 2**15, 2**16 - 1 and 2**16 of p, and p = 1/2 - 2**-18,
+    # where c rounds up to 2**15 below p = 1/2
+    SWITCH_PS = (0.0, 2**-16, 0.5, 1 - 2**-16, 1.0, 0.5 - 2**-18)
 
-        Margin: 5 binomial standard errors of c / 2**16 at 2**20 cycles, a
-        two-sided false-failure chance below 1e-6 per threshold.  The p
-        cover both compare branches and both sides of 2**15.
+    @pytest.mark.parametrize("kind", [NORMAL, BMS])
+    def test_switch_frequency_is_quantized_q(self, cost_model, kind):
+        """Over 2**20 cycles the switch frequency matches the write
+        probability quantized to 2**-16, round(q * 2**16) / 2**16.
+
+        The switched flags are `generate_stream`'s bits read by the kind's
+        rule: the normal generator switches where a 0 is delivered, BMS
+        where the bit differs from p >= 1/2.  Margin: 5 binomial standard
+        errors at 2**20 cycles, a two-sided false-failure chance below
+        1e-6 per p; a certain q must match exactly.
         """
         n = 1 << 20
-        ps = np.array([0.125, 0.49, 0.5, 0.51, 0.75, 0.99, 0.9999])
-        _, switched = sng_bits(ps, n, kind, np.random.default_rng(21))
-        for p, row in zip(ps, switched):
+        for p in (*self.SWITCH_PS, 0.125, 0.49, 0.51, 0.75, 0.99, 0.9999):
+            bits, _ = generate_stream(p, n, kind, 21, cost_model)
+            switched = bits != (kind is NORMAL or p >= 0.5)
             q = round(write_probability(p, kind) * 2**16) / 2**16
             sigma = np.sqrt(q * (1 - q) / n)
-            assert abs(row.mean() - q) <= 5 * sigma
+            assert abs(switched.mean() - q) <= 5 * sigma, p
 
     def test_generate_stream_energy_from_split(self, cost_model):
+        """The energy prices the reference switched flags exactly: one
+        reset after each switched write but the last, and each write at
+        its outcome's energy."""
         model = cost_model.switching
         n = 300
         for kind in (NORMAL, BMS):
-            p = 0.35
-            q = write_probability(p, kind)
-            t_w = pulse_width_for_probability(q, SwitchDirection.AP_TO_P, model)
-            split = write_energy_split(t_w, SwitchDirection.AP_TO_P, model)
-            _, switched = sng_bits(p, n, kind, np.random.default_rng(8))
-            k = int(switched.sum())
-            expected = (int(switched[:-1].sum()) * cost_model.reset_energy
-                        + k * split.switched + (n - k) * split.unswitched
-                        + n * cost_model.read_energy)
-            if kind is BMS:
-                expected += n * cost_model.mux_inv_energy
-            _, energy = generate_stream(p, n, kind, 8, cost_model)
-            assert energy == expected
+            for p in (0.35, 0.65, *self.SWITCH_PS):
+                q = write_probability(p, kind)
+                t_w = pulse_width_for_probability(
+                    min(q, WRITE_PROBABILITY_CAP), SwitchDirection.AP_TO_P,
+                    model)
+                split = write_energy_split(t_w, SwitchDirection.AP_TO_P, model)
+                switched = reference_switched(p, n, kind,
+                                              np.random.default_rng(8))
+                k = int(switched.sum())
+                expected = (int(switched[:-1].sum()) * cost_model.reset_energy
+                            + k * split.switched + (n - k) * split.unswitched
+                            + n * cost_model.read_energy)
+                if kind is BMS:
+                    expected += n * cost_model.mux_inv_energy
+                _, energy = generate_stream(p, n, kind, 8, cost_model)
+                assert energy == expected, (kind, p)
