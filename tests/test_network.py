@@ -336,13 +336,24 @@ class TestLayerKernel:
             layer_forward_isc(layer, np.zeros((1, 128), dtype=np.uint8),
                               child_seed(0))
 
-    def test_neuron_wrapper_matches_reference(self):
+    @pytest.mark.parametrize("kind", [SngKind.BMS, SngKind.NORMAL])
+    def test_neuron_wrapper_matches_reference(self, kind):
+        """The wrapper matches the reference neuron, and a one-neuron
+        network priced as either kind streams the wrapper's output."""
         w = np.random.default_rng(8).uniform(-1, 1, 6)
         xs = np.stack([bip_stream(0.3 * i - 0.8, 256, 40 + i)
                        for i in range(6)])
         out = neuron_forward_isc(w, xs, 2.0, child_seed(3))
         ref = reference_neuron(w, xs, 2.0, child_seed(3))
         assert np.array_equal(out, ref)
+        cfg = EvalConfig(stream_length=256, seed=3, sng_kind=kind)
+        x = np.linspace(-0.8, 0.7, 6)
+        rng = child_seed(cfg.seed, 7)
+        x_bits = sng_bits((x + 1.0) / 2.0, 256, rng)
+        out = neuron_forward_isc(w, x_bits, 2.0, rng)
+        net = NetworkSpec((LayerSpec(w[:, None], 2.0),))
+        assert np.array_equal(network_forward(net, x, cfg),
+                              [(2 * int(out.sum()) - 256) / 256])
 
 
 class TestNetworkForward:

@@ -237,9 +237,12 @@ class TestSharedPaths:
             assert bits.dtype == np.uint8
             assert np.array_equal(bits.astype(bool), ref)
 
-    def test_array_p_matches_per_p_calls(self):
+    @pytest.mark.parametrize("kind", [NORMAL, BMS])
+    def test_array_p_matches_per_p_calls(self, kind):
         """One call on an array of p equals one per-row reference draw per
-        p, in order."""
+        p, in order, and each row's writes switch where the reference
+        switches under either kind: where the delivered bit differs from
+        the bit the kind stores."""
         ps = np.concatenate([[0.0, 0.5, 1.0, 0.25, 0.75],
                              np.random.default_rng(5).uniform(0, 1, 7)])
         for shape in ((12,), (3, 4)):
@@ -247,8 +250,13 @@ class TestSharedPaths:
             assert bits.shape == shape + (64,)
             rng = np.random.default_rng(9)
             for p, row in zip(ps, bits.reshape(-1, 64)):
+                state = rng.bit_generator.state
                 assert np.array_equal(row.astype(bool),
                                       reference_bits(p, 64, rng))
+                rng.bit_generator.state = state
+                stored = kind is NORMAL or p >= 0.5
+                assert np.array_equal(row != stored,
+                                      reference_switched(p, 64, kind, rng))
 
     @pytest.mark.parametrize("n", [*range(1, 10), 128])
     @pytest.mark.parametrize("kind", [NORMAL, BMS])
