@@ -29,7 +29,6 @@ class Dataset:
     n_classes: int
     scaling_lo: np.ndarray | None = None   # per-feature affine map source range
     scaling_hi: np.ndarray | None = None
-    split: str = ""
 
     def __post_init__(self):
         f = np.ascontiguousarray(self.features, dtype=float)
@@ -234,6 +233,4 @@ def split_dataset(dataset: Dataset, first_size: int, seed) -> tuple[Dataset, Dat
     if not _is_seed(seed):
         raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     order = np.random.default_rng(seed).permutation(len(dataset))
-    first = dataset.subset(order[:first_size])
-    rest = dataset.subset(order[first_size:])
-    return (replace(first, split="train"), replace(rest, split="test"))
+    return dataset.subset(order[:first_size]), dataset.subset(order[first_size:])

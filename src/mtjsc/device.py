@@ -43,7 +43,7 @@ P2AP_ENERGY_ANCHOR = 0.46e-12
 
 DEFAULT_MAX_PULSE = 20e-9
 
-# Pulse widths (s) that `calibrate_direction_to_energy` searches between.
+# Pulse widths (s) that `default_model` searches for the P->AP energy anchor.
 ENERGY_ANCHOR_BRACKET = (0.5e-9, 6e-9)
 
 
@@ -337,61 +337,34 @@ def _fit_constant(params: MtjParams, anchor: tuple) -> float:
     return p / raw
 
 
-def calibrate(params: MtjParams, anchor: tuple) -> SwitchingModel:
-    """Fix the density constant so the CDF passes through one anchor point.
+def default_model(params: MtjParams | None = None) -> SwitchingModel:
+    """Model calibrated to the published anchor measurements.
 
-    `anchor` is (pulse_width, probability, direction).  Both directions
-    receive the fitted constant; `calibrate_direction` can then override one
-    of them.  Secondary anchors are recorded for checking, not fitted.
+    AP->P: 99.9% switching at 3.40 ns, 1.2 V, fitted by `_fit_constant`.
+    P->AP: expected write energy of 0.46 pJ at its own 99.9% pulse width T;
+    `_bisect` solves T over `ENERGY_ANCHOR_BRACKET`, each probe fitting the
+    P->AP constant through (T, 99.9%) and pricing the write at T.
     """
-    c = _fit_constant(params, anchor)
-    return SwitchingModel(
-        params=params,
-        norm_constant={SwitchDirection.AP_TO_P: c, SwitchDirection.P_TO_AP: c},
-        anchors=(anchor,),
-    )
+    params = params or MtjParams()
+    t_anchor, p_anchor = AP2P_ANCHOR
+    ap_anchor = (t_anchor, p_anchor, SwitchDirection.AP_TO_P)
+    c_ap = _fit_constant(params, ap_anchor)
 
+    def fitted(t: float) -> SwitchingModel:
+        p2ap_anchor = (t, p_anchor, SwitchDirection.P_TO_AP)
+        return SwitchingModel(
+            params,
+            {SwitchDirection.AP_TO_P: c_ap,
+             SwitchDirection.P_TO_AP: _fit_constant(params, p2ap_anchor)},
+            (ap_anchor, p2ap_anchor))
 
-def calibrate_direction(model: SwitchingModel, anchor: tuple) -> SwitchingModel:
-    """Refit the constant of a single direction from its own anchor point."""
-    constants = dict(model.norm_constant)
-    constants[anchor[2]] = _fit_constant(model.params, anchor)
-    return SwitchingModel(params=model.params, norm_constant=constants,
-                          anchors=model.anchors + (anchor,))
+    def energy_at(t: float) -> float:
+        return expected_write_energy(t, SwitchDirection.P_TO_AP, fitted(t))
 
-
-def calibrate_direction_to_energy(model: SwitchingModel, energy: float, p: float,
-                                  direction: SwitchDirection) -> SwitchingModel:
-    """Refit one direction so its expected write energy at the probability-p
-    pulse width equals `energy`.
-
-    Parametrized by the pulse width T at which the CDF reaches p: the
-    direction constant becomes p / raw_cdf(T), and T is solved by `_bisect`
-    over `ENERGY_ANCHOR_BRACKET` so the pulse energy matches.
-    """
-
-    def energy_at(t_anchor: float) -> float:
-        m = calibrate_direction(model, (t_anchor, p, direction))
-        return expected_write_energy(t_anchor, direction, m)
-
-    lo, hi = ENERGY_ANCHOR_BRACKET
+    energy, (lo, hi) = P2AP_ENERGY_ANCHOR, ENERGY_ANCHOR_BRACKET
     e_lo, e_hi = energy_at(lo), energy_at(hi)
     if not e_lo < energy < e_hi:
         raise RuntimeError(
             f"energy anchor {energy} J outside the bracketable range: "
             f"{e_lo} J at {lo} s, {e_hi} J at {hi} s")
-    t_anchor = _bisect(energy_at, energy, lo, hi)
-    return calibrate_direction(model, (t_anchor, p, direction))
-
-
-def default_model(params: MtjParams | None = None) -> SwitchingModel:
-    """Model calibrated to the published anchor measurements.
-
-    AP->P: 99.9% switching at 3.40 ns, 1.2 V.  P->AP: expected write energy
-    of 0.46 pJ at its own 99.9% pulse width.
-    """
-    params = params or MtjParams()
-    t_anchor, p_anchor = AP2P_ANCHOR
-    model = calibrate(params, (t_anchor, p_anchor, SwitchDirection.AP_TO_P))
-    return calibrate_direction_to_energy(
-        model, P2AP_ENERGY_ANCHOR, p_anchor, SwitchDirection.P_TO_AP)
+    return fitted(_bisect(energy_at, energy, lo, hi))

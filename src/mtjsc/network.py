@@ -383,6 +383,9 @@ def accuracy(net: NetworkSpec, features: np.ndarray, labels: np.ndarray,
     """Fraction of samples whose argmax output matches the label."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
+    if features.ndim != 2 or features.shape[1] != net.dims[0]:
+        raise ValueError(f"features must be a (samples, {net.dims[0]}) "
+                         f"matrix, got shape {features.shape}")
     if features.shape[0] == 0:
         raise ValueError("empty dataset")
     if labels.shape != (features.shape[0],):
@@ -426,6 +429,9 @@ def _entry(doc: dict, key: str, where: str):
 def network_from_dict(doc: dict) -> NetworkSpec:
     dims = _entry(doc, "dims", "the network document")
     specs = _entry(doc, "layers", "the network document")
+    for key, value in (("dims", dims), ("layers", specs)):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
     if len(dims) != len(specs) + 1:
         raise ValueError(f"dims {dims} describe {len(dims) - 1} layers, but "
                          f"the document has {len(specs)}")
@@ -437,7 +443,14 @@ def network_from_dict(doc: dict) -> NetworkSpec:
     for k, spec in enumerate(specs):
         shape = (dims[k], dims[k + 1])
         where = f"layer {k} of {len(specs)}"
-        weights = np.array(_entry(spec, "weights", where), dtype=float)
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where} must be a mapping with 'weights' and "
+                             f"'M' entries, got {spec!r}")
+        weights = _entry(spec, "weights", where)
+        try:
+            weights = np.array(weights, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{where}: weights must be numbers; {err}") from None
         if weights.size != shape[0] * shape[1]:
             raise ValueError(f"{where} has {weights.size} weights; dims "
                              f"{dims} need {shape[0]} x {shape[1]} = "

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,15 @@ def _check_kind(kind) -> None:
         raise TypeError(f"kind must be a SngKind, got {kind!r}")
 
 
+def _check_p(p) -> None:
+    """Refuse a stream value that is not one real number in [0, 1]: a bool,
+    a string, None or an array (0-d included) is named, not coerced."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise TypeError(f"p must be a real number, got {p!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+
+
 def write_probability(p, kind: SngKind):
     """AP->P switching probability that realizes a stream of value p.
 
@@ -190,8 +200,7 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
     over 2**20 cycles in the tests.  Each outcome is priced at the
     unquantized write probability.  Deterministic given the seed.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     split = _write_split(write_probability(p, kind), cost_model)
@@ -212,8 +221,7 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
 
 def energy_per_bit(p: float, kind: SngKind, cost_model: SngCostModel) -> float:
     """Closed-form expected energy per generated bit at stream value p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     q = write_probability(p, kind)
     e = q * cost_model.reset_energy + cost_model.read_energy
     e += _write_split(q, cost_model).expected

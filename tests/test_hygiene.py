@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports in the package or its tests, no
 private helper without a caller in the package, no settings read from the
 environment, no thread started, scipy kept to the LP solver, every declared
-script resolves, and every function the benchmark traces exists."""
+script resolves, and every function the benchmark traces or name it reads
+exists."""
 
 import ast
 import importlib
@@ -183,25 +184,33 @@ def test_only_the_lp_solver_imports_scipy():
     ])
 
 
-def trace_targets(source: str) -> tuple[list[str], list[str]]:
-    """The `mtjsc` modules a workloads file imports, and its TRACE_TARGETS."""
+def trace_targets(source: str) -> tuple[list[str], list[str], list[str]]:
+    """The `mtjsc` modules a workloads file imports, its TRACE_TARGETS, and
+    every `module.attr` it reads from those modules."""
+    tree = ast.parse(source)
     modules, targets = [], []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "mtjsc":
             modules.extend(alias.name for alias in node.names)
         elif (isinstance(node, ast.Assign)
               and any(isinstance(t, ast.Name) and t.id == "TRACE_TARGETS"
                       for t in node.targets)):
             targets.extend(ast.literal_eval(node.value))
-    return modules, targets
+    attributes = sorted({f"{node.value.id}.{node.attr}"
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id in modules})
+    return modules, targets, attributes
 
 
 def test_benchmark_trace_targets_exist():
-    """Every module the benchmark imports from `mtjsc`, and every
-    `module.function` it traces, exists; a missing one drops the traced
-    run's per-layer metrics."""
-    modules, targets = trace_targets(WORKLOADS.read_text())
-    assert modules and targets
+    """Every module the benchmark imports from `mtjsc`, every
+    `module.function` it traces, and every `module.attr` it reads exists; a
+    missing trace target drops the traced run's per-layer metrics, and a
+    missing attribute fails the run."""
+    modules, targets, attributes = trace_targets(WORKLOADS.read_text())
+    assert modules and targets and attributes
     for name in modules:
         importlib.import_module(f"mtjsc.{name}")
     for target in targets:
@@ -209,3 +218,7 @@ def test_benchmark_trace_targets_exist():
         assert module_name in modules, f"{target}: module not imported"
         module = importlib.import_module(f"mtjsc.{module_name}")
         assert callable(getattr(module, function, None)), f"{target} is missing"
+    for attribute in attributes:
+        module_name, _, name = attribute.partition(".")
+        module = importlib.import_module(f"mtjsc.{module_name}")
+        assert hasattr(module, name), f"{attribute} is missing"

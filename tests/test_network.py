@@ -532,6 +532,16 @@ class TestClassify:
                                              rf"label 1 is {label!r}$"):
             accuracy(net, np.ones((2, 1)), np.array([0, label]), EvalConfig())
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 2), (3, 1, 1)])
+    def test_features_must_be_a_matrix(self, shape):
+        """Features that are not (samples, inputs) are named by their shape
+        before the labels are looked at."""
+        net = NetworkSpec((LayerSpec(np.array([[1.0, -1.0]]), 1.0),))
+        with pytest.raises(ValueError, match=rf"features must be a \(samples, "
+                                             rf"1\) matrix, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            accuracy(net, np.ones(shape), np.zeros(2), EvalConfig())
+
     def test_empty_dataset_rejected(self):
         net = NetworkSpec((LayerSpec(np.array([[1.0, -1.0]]), 1.0),))
         with pytest.raises(ValueError):
@@ -573,6 +583,17 @@ class TestPersistence:
         assert type(layer.m_scale) is float and layer.m_scale == 1.5
         save_network(NetworkSpec((layer,)), tmp_path / "net.json")
         assert load_network(tmp_path / "net.json").layers[0].m_scale == 1.5
+        # a malformed document names the entry that is wrong
+        layer = {"M": 1.0, "weights": [0.5]}
+        for doc, named in (
+                ({"dims": 3, "layers": [layer]}, "dims must be a list, got 3"),
+                ({"dims": [1, 1], "layers": 5}, "layers must be a list, got 5"),
+                ({"dims": [1, 1], "layers": ["x"]},
+                 "layer 0 of 1 must be a mapping .* got 'x'"),
+                ({"dims": [1, 1], "layers": [{"M": 1.0, "weights": ["a"]}]},
+                 "layer 0 of 1: weights must be numbers")):
+            with pytest.raises(ValueError, match=named):
+                network_from_dict(doc)
 
     @pytest.mark.parametrize("m_scale", [float("nan"), float("inf")])
     def test_non_finite_m_rejected(self, m_scale):

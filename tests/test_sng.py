@@ -170,6 +170,16 @@ class TestEnergyPerBit:
         with pytest.raises(ValueError, match=rf"p must be in \[0, 1\], got {p}"):
             generate_stream(p, 8, BMS, 0, cost_model)
 
+    @pytest.mark.parametrize("p", [True, np.array(0.5), np.array([0.5]),
+                                   "0.5", None],
+                             ids=["bool", "0-d", "1-elem", "str", "None"])
+    def test_rejects_p_that_is_not_one_real(self, cost_model, p):
+        message = rf"p must be a real number, got {re.escape(repr(p))}$"
+        with pytest.raises(TypeError, match=message):
+            energy_per_bit(p, BMS, cost_model)
+        with pytest.raises(TypeError, match=message):
+            generate_stream(p, 8, BMS, 0, cost_model)
+
     def test_bms_symmetry_exact(self, cost_model):
         for p in np.linspace(0.0, 1.0, 101):
             diff = abs(energy_per_bit(p, BMS, cost_model)
