@@ -1,8 +1,11 @@
 """Dataset ingestion: IDX image files, delimited numeric tables, scaling.
 
-All loaders produce a `Dataset` whose features are scaled to [-1, 1] and
-whose labels are integer class indices, with the scaling parameters kept on
-the dataset so the same affine map can be replayed on unseen data.
+Every loader produces a `Dataset` whose labels are integer class indices.
+`load_mnist` maps pixels to [-1, 1] itself; `load_csv_dataset` keeps raw
+units.  `fit_scaling` maps a training split to [-1, 1] and keeps its
+per-feature map on that split, so that `apply_scaling` replays the same
+affine map on unseen data.  Only those splits carry a map: a network is
+trained on, saved and run with features already in [-1, 1].
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import _is_seed, _label_problem
+from .network import _is_count, _is_seed, _label_problem
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -27,10 +30,13 @@ class Dataset:
     features: np.ndarray          # (D, I) floats in [-1, 1]
     labels: np.ndarray            # (D,) integer class ids
     n_classes: int
-    scaling_lo: np.ndarray | None = None   # per-feature affine map source range
+    scaling_lo: np.ndarray | None = None   # fit_scaling's per-feature source range
     scaling_hi: np.ndarray | None = None
 
     def __post_init__(self):
+        if not _is_count(self.n_classes):
+            raise DataError(f"n_classes must be an integer >= 1, got "
+                            f"{self.n_classes!r}")
         f = np.ascontiguousarray(self.features, dtype=float)
         problem = _label_problem(np.asarray(self.labels))
         if problem:
@@ -43,8 +49,10 @@ class Dataset:
             i, j = np.argwhere(~finite)[0]
             raise DataError(f"features must be finite; row {i}, column {j} "
                             f"is {f[i, j]}")
-        if y.size and (y.min() < 0 or y.max() >= self.n_classes):
-            raise DataError("labels must lie in [0, n_classes)")
+        bad = np.flatnonzero((y < 0) | (y >= self.n_classes))
+        if bad.size:
+            raise DataError(f"labels must lie in [0, {self.n_classes}); label "
+                            f"{bad[0]} is {y[bad[0]].item()!r}")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
 
@@ -83,7 +91,10 @@ def _read_idx(path, magic: int, rank: int) -> np.ndarray:
 
 
 def load_mnist(path_images, path_labels) -> Dataset:
-    """Load an IDX image/label pair; pixels map [0, 255] -> [-1, 1]."""
+    """Load an IDX image/label pair; pixels map [0, 255] -> [-1, 1].
+
+    The map is fixed, so the dataset carries none for `apply_scaling`.
+    """
     images = _read_idx(path_images, IDX_IMAGES_MAGIC, rank=3)
     labels = _read_idx(path_labels, IDX_LABELS_MAGIC, rank=1)
     if images.shape[0] != labels.shape[0]:
@@ -94,13 +105,12 @@ def load_mnist(path_images, path_labels) -> Dataset:
     features *= 2.0
     features /= 255.0
     features -= 1.0
-    return Dataset(features, labels.astype(np.int64), n_classes=10,
-                   scaling_lo=np.zeros(features.shape[1]),
-                   scaling_hi=np.full(features.shape[1], 255.0))
+    return Dataset(features, labels.astype(np.int64), n_classes=10)
 
 
 def downscale_14x14(dataset: Dataset) -> Dataset:
-    """2x2 average pooling of 28x28 rows down to 196 features."""
+    """2x2 average pooling of 28x28 rows down to 196 features; the pooled
+    rows carry no scaling map."""
     if dataset.n_features != 784:
         raise DataError("downscale_14x14 expects 784-feature rows")
     imgs = dataset.features.reshape(-1, 28, 28)
@@ -111,11 +121,7 @@ def downscale_14x14(dataset: Dataset) -> Dataset:
     pooled = ((top[..., 0::2] + top[..., 1::2])
               + (bottom[..., 0::2] + bottom[..., 1::2])) / 4
     flat = pooled.reshape(-1, 196)
-    return replace(dataset, features=flat,
-                   scaling_lo=None if dataset.scaling_lo is None
-                   else np.zeros(196),
-                   scaling_hi=None if dataset.scaling_hi is None
-                   else np.full(196, 255.0))
+    return replace(dataset, features=flat, scaling_lo=None, scaling_hi=None)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,6 @@ class LayerSpec:
 @dataclass(frozen=True)
 class NetworkSpec:
     layers: tuple[LayerSpec, ...]
-    feature_scaling: tuple[np.ndarray, np.ndarray] | None = None  # (lo, hi)
 
     def __post_init__(self):
         if not self.layers:
@@ -105,23 +104,6 @@ class NetworkSpec:
                 raise ValueError(
                     f"layer dimensions do not chain: layer {k} is "
                     f"{a.weights.shape} and layer {k + 1} is {b.weights.shape}")
-        if self.feature_scaling is not None:
-            scaling = tuple(self.feature_scaling)
-            if len(scaling) != 2:
-                raise ValueError(f"feature_scaling must be a (lo, hi) pair, "
-                                 f"got {len(scaling)} arrays")
-            lo, hi = (np.asarray(v, dtype=float) for v in scaling)
-            want = self.dims[:1]
-            if lo.shape != want or hi.shape != want:
-                raise ValueError(
-                    f"feature_scaling lo and hi must each have shape {want}; "
-                    f"got {lo.shape} and {hi.shape}")
-            for name, v in (("lo", lo), ("hi", hi)):
-                bad = np.flatnonzero(~np.isfinite(v))
-                if bad.size:
-                    raise ValueError(f"feature_scaling must be finite; "
-                                     f"{name}[{bad[0]}] is {v[bad[0]]}")
-            object.__setattr__(self, "feature_scaling", (lo, hi))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -158,6 +140,11 @@ def _is_seed(value) -> bool:
     """Whether `value` is a non-negative integer, as `SeedSequence` takes."""
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, bool) and value >= 0)
+
+
+def _is_count(value) -> bool:
+    """Whether `value` is an integer >= 1 (a bool is not)."""
+    return _is_seed(value) and value >= 1
 
 
 def _label_problem(labels: np.ndarray) -> str | None:
@@ -345,10 +332,15 @@ def network_forward(net: NetworkSpec, x: np.ndarray, config: EvalConfig,
                     sample_key: tuple = ()) -> np.ndarray:
     """Forward pass; float path composes exact layers, stream path streams.
 
-    `sample_key` disambiguates the stream randomness between samples
-    evaluated under one config; its entries are non-negative integers.
+    `sample_key`, a tuple of non-negative integers, disambiguates the
+    stream randomness between samples evaluated under one config.
     Both paths refuse an input outside [-1, 1], naming the first one.
     """
+    if not isinstance(config, EvalConfig):
+        raise TypeError(f"config must be an EvalConfig, got {config!r}")
+    if not isinstance(sample_key, tuple):
+        raise TypeError(f"sample_key must be a tuple of non-negative "
+                        f"integers, got {sample_key!r}")
     for k, entry in enumerate(sample_key):
         if not _is_seed(entry):
             raise ValueError(f"sample_key entries must be non-negative "
@@ -406,16 +398,12 @@ def accuracy(net: NetworkSpec, features: np.ndarray, labels: np.ndarray,
 
 
 def network_to_dict(net: NetworkSpec) -> dict:
-    doc = {
+    return {
         "dims": list(net.dims),
         "layers": [{"M": layer.m_scale,
                     "weights": layer.weights.flatten().tolist()}
                    for layer in net.layers],
     }
-    if net.feature_scaling is not None:
-        lo, hi = net.feature_scaling
-        doc["feature_scaling"] = {"lo": lo.tolist(), "hi": hi.tolist()}
-    return doc
 
 
 def _entry(doc: dict, key: str, where: str):
@@ -427,6 +415,9 @@ def _entry(doc: dict, key: str, where: str):
 
 
 def network_from_dict(doc: dict) -> NetworkSpec:
+    if not isinstance(doc, dict):
+        raise ValueError(f"the network document must be a mapping with "
+                         f"'dims' and 'layers' entries, got {doc!r}")
     dims = _entry(doc, "dims", "the network document")
     specs = _entry(doc, "layers", "the network document")
     for key, value in (("dims", dims), ("layers", specs)):
@@ -436,7 +427,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
         raise ValueError(f"dims {dims} describe {len(dims) - 1} layers, but "
                          f"the document has {len(specs)}")
     for k, d in enumerate(dims):
-        if not (_is_seed(d) and d >= 1):
+        if not _is_count(d):
             raise ValueError(f"dims must be integers >= 1; dims entry {k} is "
                              f"{d!r}")
     layers = []
@@ -460,12 +451,7 @@ def network_from_dict(doc: dict) -> NetworkSpec:
             layers.append(LayerSpec(weights.reshape(shape), m_scale))
         except ValueError as err:  # name the layer
             raise ValueError(f"{where}: {err}") from None
-    scaling = None
-    if "feature_scaling" in doc:
-        scaling = tuple(np.array(_entry(doc["feature_scaling"], key,
-                                        "feature_scaling"), dtype=float)
-                        for key in ("lo", "hi"))
-    return NetworkSpec(tuple(layers), scaling)
+    return NetworkSpec(tuple(layers))
 
 
 def save_network(net: NetworkSpec, path) -> None:

@@ -10,12 +10,13 @@ increases.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import Dataset
-from .network import LayerSpec, NetworkSpec, _is_seed
+from .network import LayerSpec, NetworkSpec, _is_count, _is_seed
 
 TARGET_HIGH = 0.9
 TARGET_LOW = -0.9
@@ -26,11 +27,6 @@ TARGET_LOW = -0.9
 DIVERGENCE_WEIGHT_BOUND = 1e3
 
 
-def _is_count(value) -> bool:
-    """Whether `value` is an integer >= 1 (a bool is not)."""
-    return _is_seed(value) and value >= 1
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     eta: float = 0.1
@@ -39,9 +35,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta > 0):
+        eta = self.eta
+        if (isinstance(eta, bool) or not isinstance(eta, numbers.Real)
+                or not (np.isfinite(eta) and eta > 0)):
             raise ValueError(
-                f"learning rate must be finite and positive, got {self.eta!r}")
+                f"learning rate must be finite and positive, got {eta!r}")
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not _is_count(value):
@@ -58,7 +56,6 @@ class RawNetwork:
 
     weights: tuple[np.ndarray, ...]
     history: tuple[dict, ...] = ()
-    feature_scaling: tuple | None = None
 
 
 def one_hot_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -175,10 +172,7 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
                 weights, validation.features, validation.labels)
         history.append(record)
         prev_loss = loss
-    scaling = None
-    if dataset.scaling_lo is not None:
-        scaling = (dataset.scaling_lo, dataset.scaling_hi)
-    return RawNetwork(tuple(weights), tuple(history), scaling)
+    return RawNetwork(tuple(weights), tuple(history))
 
 
 def scale_weights(raw: RawNetwork) -> NetworkSpec:
@@ -187,8 +181,4 @@ def scale_weights(raw: RawNetwork) -> NetworkSpec:
     for w in raw.weights:
         m = max(1.0, float(np.max(np.abs(w))))
         layers.append(LayerSpec(w / m, m))
-    scaling = None
-    if raw.feature_scaling is not None:
-        scaling = (np.asarray(raw.feature_scaling[0]),
-                   np.asarray(raw.feature_scaling[1]))
-    return NetworkSpec(tuple(layers), scaling)
+    return NetworkSpec(tuple(layers))

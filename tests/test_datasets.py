@@ -53,8 +53,8 @@ class TestIdx:
         assert data.features.shape == (5, 784)
         assert np.array_equal(data.features,
                               2.0 * images.reshape(5, -1) / 255.0 - 1.0)
-        assert np.array_equal(data.scaling_lo, np.zeros(784))
-        assert np.array_equal(data.scaling_hi, np.full(784, 255.0))
+        # the pixel map is fixed; only fit_scaling splits carry a map
+        assert data.scaling_lo is None and data.scaling_hi is None
 
     def test_bad_magic(self, tmp_path):
         images = np.zeros((2, 28, 28), dtype=np.uint8)
@@ -112,6 +112,13 @@ class TestCsv:
         path = write_text(tmp_path, "sonar.csv", "0.1,0.2,R\n0.3,0.4,X\n")
         with pytest.raises(DataError, match=r":2: unknown label 'X'"):
             load_csv_dataset(path, SONAR_SCHEMA)
+
+    def test_mapped_label_outside_the_classes_named(self, tmp_path):
+        path = write_text(tmp_path, "sonar.csv", "0.1,0.2,R\n0.3,0.4,M\n")
+        schema = CsvSchema(label_map={"R": 0, "M": 5}, n_classes=2)
+        with pytest.raises(DataError, match=r"^labels must lie in \[0, 2\); "
+                                            r"label 1 is 5$"):
+            load_csv_dataset(path, schema)
 
     def test_ragged_rows(self, tmp_path):
         path = write_text(tmp_path, "sonar.csv", "0.1,0.2,R\n0.3,M\n")
@@ -235,6 +242,24 @@ class TestLabels:
         with pytest.raises(DataError, match=message):
             Dataset(np.zeros((len(labels), 1)), np.array(labels), n_classes=2)
 
+    @pytest.mark.parametrize("n_classes", [2.5, True, 0, -1, "2", None])
+    def test_refuses_n_classes_that_is_not_a_count(self, n_classes):
+        with pytest.raises(DataError, match=rf"n_classes must be an integer "
+                                            rf">= 1, got {n_classes!r}$"):
+            Dataset(np.zeros((2, 1)), np.array([0, 1]), n_classes=n_classes)
+
+    def test_accepts_numpy_integer_n_classes(self):
+        data = Dataset(np.zeros((2, 1)), np.array([0, 1]),
+                       n_classes=np.int64(2))
+        assert data.n_classes == 2
+
+    @pytest.mark.parametrize("labels, at", [([0, 3, 2], "label 1 is 3"),
+                                            ([0, 1, -1], "label 2 is -1")])
+    def test_out_of_range_label_named(self, labels, at):
+        with pytest.raises(DataError, match=rf"^labels must lie in \[0, 2\); "
+                                            rf"{at}$"):
+            Dataset(np.zeros((3, 1)), np.array(labels), n_classes=2)
+
     def test_whole_float_labels_become_integers(self):
         data = Dataset(np.zeros((2, 1)), np.array([1.0, 0.0]), n_classes=2)
         assert data.labels.dtype == np.int64
@@ -294,12 +319,12 @@ class TestDownscale:
         assert np.array_equal(pooled.features[0], np.arange(196) + 1.5)
         assert pooled.scaling_lo is None and pooled.scaling_hi is None
 
-    def test_keeps_pixel_scaling(self, tmp_path):
-        data = load_mnist(*idx_pair(tmp_path, np.zeros((1, 28, 28)),
-                                    np.zeros(1)))
+    def test_drops_a_fitted_map(self):
+        """A 784-feature map does not describe the pooled rows."""
+        data = fit_scaling(Dataset(np.arange(1568.0).reshape(2, 784),
+                                   np.zeros(2, dtype=int), n_classes=1))
         pooled = downscale_14x14(data)
-        assert np.array_equal(pooled.scaling_lo, np.zeros(196))
-        assert np.array_equal(pooled.scaling_hi, np.full(196, 255.0))
+        assert pooled.scaling_lo is None and pooled.scaling_hi is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
     def test_matches_the_two_axis_mean(self, n):

@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import json
 import math
 import pkgutil
 import re
@@ -553,8 +554,7 @@ class TestPersistence:
         rng = np.random.default_rng(4)
         net = NetworkSpec(
             (LayerSpec(rng.uniform(-1, 1, (5, 4)), 2.25),
-             LayerSpec(rng.uniform(-1, 1, (4, 2)), 1.0)),
-            feature_scaling=(rng.uniform(-3, 0, 5), rng.uniform(1, 4, 5)))
+             LayerSpec(rng.uniform(-1, 1, (4, 2)), 1.0)))
         path = tmp_path / "weights.json"
         save_network(net, path)
         back = load_network(path)
@@ -562,8 +562,31 @@ class TestPersistence:
         for a, b in zip(back.layers, net.layers):
             assert a.m_scale == b.m_scale
             assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(back.feature_scaling[0], net.feature_scaling[0])
-        assert np.array_equal(back.feature_scaling[1], net.feature_scaling[1])
+
+    def test_save_writes_dims_and_layers_only(self, tmp_path):
+        net = NetworkSpec((LayerSpec(np.full((2, 1), 0.5), 1.5),))
+        save_network(net, tmp_path / "net.json")
+        doc = json.loads((tmp_path / "net.json").read_text())
+        assert sorted(doc) == ["dims", "layers"]
+
+    def test_document_with_feature_scaling_loads_the_same(self):
+        """A document saved with an input scaling map, as networks once
+        were, loads to the network it describes without one."""
+        rng = np.random.default_rng(6)
+        plain = {"dims": [3, 2, 2],
+                 "layers": [{"M": 2.5, "weights": rng.uniform(-1, 1, 6).tolist()},
+                            {"M": 1.0, "weights": rng.uniform(-1, 1, 4).tolist()}]}
+        old = {**plain, "feature_scaling": {"lo": [0.0, -1.0, 2.0],
+                                            "hi": [1.0, 3.0, 5.0]}}
+        a, b = network_from_dict(old), network_from_dict(plain)
+        assert a.dims == b.dims == (3, 2, 2)
+        for la, lb in zip(a.layers, b.layers):
+            assert la.m_scale == lb.m_scale
+            assert np.array_equal(la.weights, lb.weights)
+        x = np.array([0.25, -0.5, 0.75])
+        for config in (EvalConfig(), EvalConfig(stream_length=128, seed=3)):
+            assert np.array_equal(network_forward(a, x, config, (1,)),
+                                  network_forward(b, x, config, (1,)))
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -591,7 +614,9 @@ class TestPersistence:
                 ({"dims": [1, 1], "layers": ["x"]},
                  "layer 0 of 1 must be a mapping .* got 'x'"),
                 ({"dims": [1, 1], "layers": [{"M": 1.0, "weights": ["a"]}]},
-                 "layer 0 of 1: weights must be numbers")):
+                 "layer 0 of 1: weights must be numbers"),
+                ("x", "the network document must be a mapping .* got 'x'"),
+                ([1], r"the network document must be a mapping .* got \[1\]")):
             with pytest.raises(ValueError, match=named):
                 network_from_dict(doc)
 
@@ -625,6 +650,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=at):
             network_forward(net, np.zeros(2), EvalConfig(stream_length=128),
                             sample_key=key)
+
+    @pytest.mark.parametrize("key", [3, [0], None])
+    def test_sample_key_must_be_a_tuple(self, key):
+        net = NetworkSpec((LayerSpec(np.full((2, 1), 0.5), 1.0),))
+        with pytest.raises(TypeError, match=rf"sample_key must be a tuple .*"
+                                            rf"got {re.escape(repr(key))}$"):
+            network_forward(net, np.zeros(2), EvalConfig(stream_length=128),
+                            sample_key=key)
+
+    @pytest.mark.parametrize("config", [None, 128, SngKind.BMS])
+    def test_config_must_be_an_eval_config(self, config):
+        net = NetworkSpec((LayerSpec(np.full((2, 1), 0.5), 1.0),))
+        message = rf"config must be an EvalConfig, got {re.escape(repr(config))}$"
+        with pytest.raises(TypeError, match=message):
+            network_forward(net, np.zeros(2), config)
+        with pytest.raises(TypeError, match=message):
+            accuracy(net, np.zeros((1, 2)), np.zeros(1), config)
 
     def test_eval_config_lengths(self):
         with pytest.raises(ValueError):
@@ -662,30 +704,6 @@ class TestPersistence:
             NetworkSpec((LayerSpec(np.zeros((3, 2)), 1.0),
                          LayerSpec(np.zeros((4, 1)), 1.0)))
 
-    def test_feature_scaling_shapes_must_match_the_inputs(self):
-        doc = {"dims": [2, 1], "layers": [{"M": 1.0, "weights": [0.5, -0.5]}],
-               "feature_scaling": {"lo": [0.0, 1.0, 2.0], "hi": [3.0, 4.0]}}
-        with pytest.raises(ValueError, match=r"shape \(2,\); got \(3,\) and "
-                                             r"\(2,\)"):
-            network_from_dict(doc)
-        doc["feature_scaling"]["hi"] = [[3.0, 4.0]]
-        doc["feature_scaling"]["lo"] = [0.0, 1.0]
-        with pytest.raises(ValueError, match=r"shape \(2,\); got \(2,\) and "
-                                             r"\(1, 2\)"):
-            network_from_dict(doc)
-        with pytest.raises(ValueError, match=r"a \(lo, hi\) pair, got 1"):
-            NetworkSpec((LayerSpec(np.zeros((2, 1)), 1.0),),
-                        feature_scaling=(np.zeros(2),))
-
-    def test_feature_scaling_must_be_finite(self):
-        doc = {"dims": [2, 1], "layers": [{"M": 1.0, "weights": [0.5, -0.5]}],
-               "feature_scaling": {"lo": [0.0, 1.0], "hi": [3.0, float("nan")]}}
-        with pytest.raises(ValueError, match=r"hi\[1\] is nan"):
-            network_from_dict(doc)
-        doc["feature_scaling"]["lo"] = [float("-inf"), 1.0]
-        with pytest.raises(ValueError, match=r"lo\[0\] is -inf"):
-            network_from_dict(doc)
-
     def test_dims_must_match_the_layer_count(self):
         doc = {"dims": [3, 2, 5], "layers": [{"M": 1.0, "weights": [0.0] * 6}]}
         with pytest.raises(ValueError, match=r"dims \[3, 2, 5\] describe 2 "
@@ -696,14 +714,11 @@ class TestPersistence:
         (("dims",), "the network document has no 'dims' entry"),
         (("layers",), "the network document has no 'layers' entry"),
         (("layers", 1, "M"), "layer 1 of 2 has no 'M' entry"),
-        (("layers", 0, "weights"), "layer 0 of 2 has no 'weights' entry"),
-        (("feature_scaling", "lo"), "feature_scaling has no 'lo' entry"),
-        (("feature_scaling", "hi"), "feature_scaling has no 'hi' entry")])
+        (("layers", 0, "weights"), "layer 0 of 2 has no 'weights' entry")])
     def test_missing_key_named(self, path, message):
         doc = {"dims": [2, 2, 1],
                "layers": [{"M": 1.0, "weights": [0.0] * 4},
-                          {"M": 2.0, "weights": [0.5, -0.5]}],
-               "feature_scaling": {"lo": [0.0, 1.0], "hi": [3.0, 4.0]}}
+                          {"M": 2.0, "weights": [0.5, -0.5]}]}
         assert network_from_dict(doc).dims == (2, 2, 1)
         *outer, key = path
         owner = doc

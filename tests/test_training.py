@@ -1,5 +1,7 @@
 """Tests for gradient-descent training and weight scaling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,14 @@ class TestTrainBackprop:
         with pytest.raises(ValueError, match=f"got {eta!r}"):
             TrainConfig(eta=eta)
 
+    @pytest.mark.parametrize("eta", [True, np.True_, "0.1", None,
+                                     np.array(0.1)])
+    def test_config_rejects_eta_that_is_not_a_real_number(self, eta):
+        with pytest.raises(ValueError, match=rf"^learning rate must be finite "
+                                             rf"and positive, got "
+                                             rf"{re.escape(repr(eta))}$"):
+            TrainConfig(eta=eta)
+
     @pytest.mark.parametrize("field, value", [
         ("epochs", 1.5), ("epochs", 0), ("epochs", True),
         ("batch_size", 2.0), ("batch_size", -3)])
@@ -181,6 +191,9 @@ class TestTrainBackprop:
         cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4),
                           seed=np.uint8(2))
         assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 4, 2)
+
+    def test_config_takes_numpy_eta(self):
+        assert TrainConfig(eta=np.float32(0.1)).eta == np.float32(0.1)
 
     def test_divergence_detected(self):
         data = blob_dataset()
