@@ -192,7 +192,10 @@ def load_csv_dataset(path, schema: CsvSchema) -> Dataset:
             if _label_problem(np.array([label])):
                 raise DataError(f"{path}:{ln_no}: label {raw_label!r} is "
                                 "not a whole number")
-            bound = schema.n_classes or np.iinfo(np.int64).max + 1
+            # int64 holds every label; a class count that is not an integer
+            # >= 1 is left for Dataset to name.
+            bound = (schema.n_classes if _is_count(schema.n_classes)
+                     else np.iinfo(np.int64).max + 1)
             if not 0 <= label < bound:
                 raise DataError(f"{path}:{ln_no}: label {raw_label!r} is "
                                 f"outside [0, {bound})")
@@ -202,12 +205,19 @@ def load_csv_dataset(path, schema: CsvSchema) -> Dataset:
         raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")
     features = np.array(rows, dtype=float)
     labels = np.array(labels, dtype=np.int64)
-    n_classes = schema.n_classes or int(labels.max()) + 1
+    n_classes = schema.n_classes
+    if n_classes is None:
+        # A label map names every class, present in this file or not.
+        n_classes = (max(schema.label_map.values()) + 1
+                     if schema.label_map is not None else int(labels.max()) + 1)
     return Dataset(features, labels, n_classes=n_classes)
 
 
 def fit_scaling(dataset: Dataset) -> Dataset:
     """Per-feature min/max scaling fitted on this split."""
+    if not len(dataset):
+        raise DataError(f"cannot fit a scaling on an empty split (0 rows of "
+                        f"{dataset.n_features} features)")
     lo = dataset.features.min(axis=0)
     hi = dataset.features.max(axis=0)
     return replace(dataset, features=_scale_to_unit(dataset.features, lo, hi),

@@ -22,7 +22,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -177,51 +177,98 @@ def _gauss(f, a: float, b: float) -> float:
     return half * total
 
 
+def _gauss_moments(density, a: float, b: float) -> tuple:
+    """`_gauss` for density and for t * density over [a, b] at once, one
+    density evaluation per node; each sum is the one `_gauss` makes."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total, moment = 0.0, 0.0
+    for x, w in _GAUSS_RULE:
+        t = mid + half * x
+        d = density(t)
+        total += w * d
+        moment += w * (t * d)
+    return half * total, half * moment
+
+
 # The density is a narrow bump on the kappa*t timescale; cutting the
 # integration range at fixed multiples of 1/kappa keeps each piece smooth
 # enough for one fixed rule.
 _SPLIT_POINTS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 18.0, 25.0)
 
 
-def _integrator(f, kappa: float):
-    """t_end -> integral of f over [0, t_end], one `_gauss` rule per piece
-    cut at 0, at the knots x/kappa below t_end and at t_end.  The integral
-    up to each knot is kept once first needed, so a full piece is integrated
-    once per integrator and a call adds only the piece ending at t_end.
+class _Table(NamedTuple):
+    """Readers of one knot table; see `_integrators`."""
 
-    Calls may come from several threads: the kept prefix is extended on a
-    local copy and published whole, as a new tuple, so no call reads a
-    prefix that another is still extending.  Every copy holds the same sums
-    in the same order, so a shorter one published late loses work, never
-    accuracy."""
-    knots = [0.0] + [x / kappa for x in _SPLIT_POINTS]
-    cumulative = (0.0,)
-
-    def integral(t_end: float) -> float:
-        nonlocal cumulative
-        last = bisect.bisect_left(knots, t_end, 1) - 1
-        prefix = cumulative
-        if len(prefix) <= last:
-            grown = list(prefix)
-            for i in range(len(prefix), last + 1):
-                grown.append(grown[-1] + _gauss(f, knots[i - 1], knots[i]))
-            prefix = cumulative = tuple(grown)
-        return prefix[last] + _gauss(f, knots[last], t_end)
-
-    return integral
+    cdf: Callable[[float], float]
+    moments: Callable[[float], tuple]
+    spine: Callable[[int], tuple]
 
 
 @functools.cache
-def _integrators(params: MtjParams, direction: SwitchDirection):
-    """The uncalibrated CDF and first-moment integrators of one
-    (params, direction), built once from one density.  The knot
-    integrals depend on neither the fitted constant nor the pulse, so every
-    model on equal params, calibration's included, shares one pair.
-    Threads that miss together each build a pair; the last one kept is as
-    good as any other."""
+def _integrators(params: MtjParams, direction: SwitchDirection) -> _Table:
+    """The knot table of the uncalibrated density of one (params, direction).
+
+    `cdf(t)` integrates the density over [0, t] by `_gauss`, and
+    `moments(t)` the density and t * density by `_gauss_moments`, which
+    makes the same sums; each takes one rule per piece cut at 0, at the
+    knots x/kappa below t and at t.  Both integrals up to a knot are kept
+    once first needed, so a full piece is integrated once per table.
+    `spine(j)` is (t_j, cdf(t_j)) at t_j = DEFAULT_MAX_PULSE halved j
+    times, the left spine of a bisection over [0, DEFAULT_MAX_PULSE]; it is
+    kept too.
+
+    The table depends on neither the fitted constant nor the pulse, so
+    every model on equal params, calibration's included, shares one.
+    Threads that miss together each build a table; the last one kept is as
+    good as any other.  Kept values are extended on a local copy and
+    published whole, as a new tuple, so no call reads a prefix that another
+    is still extending; every copy holds the same sums in the same order,
+    so a shorter one published late loses work, never accuracy."""
     density, kappa = _density(params, direction)
-    return (_integrator(density, kappa),
-            _integrator(lambda t: t * density(t), kappa))
+    knots = [0.0] + [x / kappa for x in _SPLIT_POINTS]
+    cumulative = ((0.0, 0.0),)
+    spine_points = ()
+
+    def prefix(t_end: float) -> tuple:
+        """The last knot below t_end and both integrals up to it."""
+        nonlocal cumulative
+        last = bisect.bisect_left(knots, t_end, 1) - 1
+        kept = cumulative
+        if len(kept) <= last:
+            grown = list(kept)
+            for i in range(len(kept), last + 1):
+                total, moment = _gauss_moments(density, knots[i - 1], knots[i])
+                grown.append((grown[-1][0] + total, grown[-1][1] + moment))
+            kept = cumulative = tuple(grown)
+        return knots[last], kept[last]
+
+    def cdf(t_end: float) -> float:
+        knot, (total, _) = prefix(t_end)
+        return total + _gauss(density, knot, t_end)
+
+    def moments(t_end: float) -> tuple:
+        knot, (total, moment) = prefix(t_end)
+        tail, tail_moment = _gauss_moments(density, knot, t_end)
+        return total + tail, moment + tail_moment
+
+    def spine(j: int) -> tuple:
+        nonlocal spine_points
+        kept = spine_points
+        if len(kept) <= j:
+            grown = list(kept)
+            t = 0.5 * grown[-1][0] if grown else DEFAULT_MAX_PULSE
+            while len(grown) <= j:
+                grown.append((t, cdf(t)))
+                t = 0.5 * t
+            kept = spine_points = tuple(grown)
+        return kept[j]
+
+    return _Table(cdf, moments, spine)
+
+
+def _probability(c: float, raw: float) -> float:
+    """The calibrated switching probability of an uncalibrated CDF value."""
+    return min(1.0, max(0.0, c * raw))
 
 
 def switching_density(t: float, direction: SwitchDirection,
@@ -236,16 +283,16 @@ def switching_probability(t_p: float, direction: SwitchDirection,
                           model: SwitchingModel) -> float:
     """Cumulative switching probability for a pulse of width t_p, in [0, 1]."""
     _check_time("t_p", t_p)
-    cdf, _ = _integrators(model.params, direction)
-    return min(1.0, max(0.0, model.constant(direction) * cdf(t_p)))
+    raw = _integrators(model.params, direction).cdf(t_p)
+    return _probability(model.constant(direction), raw)
 
 
 def expected_switch_time(t_p: float, direction: SwitchDirection,
                          model: SwitchingModel) -> float:
     """Integral of t * pdf(t) over [0, t_p] (unconditional, in seconds)."""
     _check_time("t_p", t_p)
-    _, first_moment = _integrators(model.params, direction)
-    return model.constant(direction) * first_moment(t_p)
+    _, moment = _integrators(model.params, direction).moments(t_p)
+    return model.constant(direction) * moment
 
 
 class WriteEnergySplit(NamedTuple):
@@ -267,14 +314,19 @@ def write_energy_split(t_p: float, direction: SwitchDirection,
     If the device switches, the pulse carries the start-state current up to
     the expected switching time and the end-state current afterwards:
     V*(I_start*E[t_sw] + I_end*(T - E[t_sw])).  If it does not switch, the
-    start-state current flows for the whole pulse: V*I_start*T.
+    start-state current flows for the whole pulse: V*I_start*T.  Both
+    integrals come from one pass of the knot table, each bit for bit what
+    `switching_probability` and `expected_switch_time` return.
     """
+    _check_time("t_p", t_p)
     params = model.params
     v = params.v_write
     i_start = v / params.start_resistance(direction)
     i_end = v / params.end_resistance(direction)
-    p_sw = switching_probability(t_p, direction, model)
-    e_t = expected_switch_time(t_p, direction, model)
+    raw, moment = _integrators(params, direction).moments(t_p)
+    c = model.constant(direction)
+    p_sw = _probability(c, raw)
+    e_t = c * moment
     e_sw = v * (i_start * e_t + i_end * (t_p - e_t))
     e_nsw = v * i_start * t_p
     return WriteEnergySplit(p_sw, e_sw, e_nsw)
@@ -303,26 +355,36 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection,
                                 model: SwitchingModel) -> float:
     """Smallest pulse width whose switching probability equals p.
 
-    Solved by `_bisect` to a relative width tolerance of 1e-6, every
-    midpoint priced as `switching_probability` prices it, through the
-    shared CDF integrator.  Raises if p is not reachable below
-    `DEFAULT_MAX_PULSE`; the CDF levels off below 1 (AP->P near 0.999985
-    for the default model), so a p above that level is refused.
+    Solved by `_bisect` over [0, DEFAULT_MAX_PULSE] to a relative width
+    tolerance of 1e-6, every midpoint priced as `switching_probability`
+    prices it, through the shared knot table.  Until a midpoint falls
+    short of p, the bisection halves its upper end from DEFAULT_MAX_PULSE
+    with its lower end at 0; those midpoints are the table's spine, so the
+    search reads them and starts from the first one short of p, with the
+    same midpoints after it.  Raises if p is not reachable below
+    `DEFAULT_MAX_PULSE` (spine node 0); the CDF levels off below 1 (AP->P
+    near 0.999985 for the default model), so a p above that level is
+    refused.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     if p == 0.0:
         return 0.0
-    cdf, _ = _integrators(model.params, direction)
-    c = model.constant(direction)
-
-    def probability(t: float) -> float:
-        return min(1.0, max(0.0, c * cdf(t)))
-
-    if probability(DEFAULT_MAX_PULSE) < p:
+    table = _integrators(model.params, direction)
+    cdf, c = table.cdf, model.constant(direction)
+    if _probability(c, table.spine(0)[1]) < p:
         raise ValueError(f"switching probability {p} not reachable below "
                          f"{DEFAULT_MAX_PULSE * 1e9:.3g} ns")
-    return _bisect(probability, p, 0.0, DEFAULT_MAX_PULSE)
+    j = 1
+    while not _probability(c, table.spine(j)[1]) < p:
+        j += 1
+    lo, hi = table.spine(j)[0], table.spine(j - 1)[0]
+
+    def probability(t: float) -> float:
+        # `_probability` inlined: the bisection makes about 20 probes.
+        return min(1.0, max(0.0, c * cdf(t)))
+
+    return _bisect(probability, p, lo, hi)
 
 
 def _fit_constant(params: MtjParams, anchor: tuple) -> float:
@@ -331,7 +393,7 @@ def _fit_constant(params: MtjParams, anchor: tuple) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"anchor probability must be in (0, 1), got {p}")
     _check_time("anchor pulse width", t_p)
-    raw = _integrators(params, direction)[0](t_p)
+    raw = _integrators(params, direction).cdf(t_p)
     if raw <= 0.0:
         raise RuntimeError("calibration failed: zero density mass at the anchor")
     return p / raw

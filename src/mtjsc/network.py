@@ -70,15 +70,15 @@ class LayerSpec:
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=float)
-        if w.ndim != 2:
-            raise ValueError(
-                f"layer weights must be a 2-D matrix, got shape {w.shape}")
+        if w.ndim != 2 or not w.size:
+            raise ValueError(f"layer weights must be a non-empty 2-D matrix, "
+                             f"got shape {w.shape}")
         bad = np.argwhere(~np.isfinite(w))
         if bad.size:
             i, j = bad[0]
             raise ValueError(f"layer weights must be finite; weight ({i}, {j}) "
                              f"is {w[i, j]}")
-        if w.size and np.max(np.abs(w)) > 1.0 + 1e-9:
+        if np.max(np.abs(w)) > 1.0 + 1e-9:
             i, j = np.unravel_index(np.argmax(np.abs(w)), w.shape)
             raise ValueError(f"scaled weights must lie in [-1, 1]; max |w| is "
                              f"{abs(w[i, j])} at ({i}, {j})")

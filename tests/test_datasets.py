@@ -120,6 +120,21 @@ class TestCsv:
                                             r"label 1 is 5$"):
             load_csv_dataset(path, schema)
 
+    def test_label_map_sizes_the_classes(self, tmp_path):
+        """Without n_classes, a label map names every class, even one no
+        row of the file holds."""
+        path = write_text(tmp_path, "sonar.csv", "0.1,0.2,R\n0.3,0.4,R\n")
+        data = load_csv_dataset(path, CsvSchema(label_map={"R": 0, "M": 1}))
+        assert data.n_classes == 2
+        assert data.labels.tolist() == [0, 0]
+
+    def test_zero_classes_named(self, tmp_path):
+        """n_classes 0 is refused as a class count, not taken as unset."""
+        path = write_text(tmp_path, "t.csv", "0.1,0.2,7\n0.3,0.4,3\n")
+        with pytest.raises(DataError, match=r"^n_classes must be an integer "
+                                            r">= 1, got 0$"):
+            load_csv_dataset(path, CsvSchema(n_classes=0))
+
     def test_ragged_rows(self, tmp_path):
         path = write_text(tmp_path, "sonar.csv", "0.1,0.2,R\n0.3,M\n")
         with pytest.raises(DataError, match="inconsistent column counts"):
@@ -221,6 +236,13 @@ class TestScaling:
         with pytest.raises(DataError, match="dataset has 2 features, but the "
                                             "reference scaling has 3"):
             apply_scaling(test, train)
+
+    def test_fit_refuses_an_empty_split(self):
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), n_classes=2)
+        with pytest.raises(DataError, match=r"^cannot fit a scaling on an "
+                                            r"empty split \(0 rows of 3 "
+                                            r"features\)$"):
+            fit_scaling(empty)
 
 
 class TestFeatures:

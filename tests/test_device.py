@@ -226,18 +226,23 @@ class TestWriteEnergySplit:
             write_energy_split(-1e-9, AP2P, model)
 
     def test_outcome_energies(self, model):
+        """One pass of the knot table gives what `switching_probability`
+        and `expected_switch_time` give apart, at the 70% width and on the
+        knot grid."""
         params = model.params
         for direction in (AP2P, P2AP):
-            t_p = pulse_width_for_probability(0.7, direction, model)
-            split = write_energy_split(t_p, direction, model)
             v = params.v_write
             i_start = v / params.start_resistance(direction)
             i_end = v / params.end_resistance(direction)
-            e_t = expected_switch_time(t_p, direction, model)
-            assert split.p_switch == switching_probability(
-                t_p, direction, model)
-            assert split.switched == v * (i_start * e_t + i_end * (t_p - e_t))
-            assert split.unswitched == v * i_start * t_p
+            widths = [pulse_width_for_probability(0.7, direction, model)]
+            for t_p in widths + knot_grid(params, direction):
+                split = write_energy_split(t_p, direction, model)
+                e_t = expected_switch_time(t_p, direction, model)
+                assert split.p_switch == switching_probability(
+                    t_p, direction, model)
+                assert split.switched == v * (i_start * e_t
+                                              + i_end * (t_p - e_t))
+                assert split.unswitched == v * i_start * t_p
 
     def test_expected_is_the_weighted_mean(self, model):
         for t_p in np.linspace(0.2e-9, 6e-9, 12):
@@ -358,7 +363,7 @@ class TestExactReference:
         values = []
         for order in (grid, grid[::-1]):
             device._integrators.cache_clear()
-            cdf, _ = device._integrators(params, direction)
+            cdf = device._integrators(params, direction).cdf
             values.append({t: cdf(t) for t in order})
         assert values[0] == values[1]
         for t in grid:
@@ -466,11 +471,13 @@ class TestIntegralTable:
 
     def test_calibration_integrates_each_piece_once(self, monkeypatch):
         """The bisection of the P->AP energy anchor reuses one table: a cold
-        default_model() took 444 rules when every step built its own."""
+        default_model() took 444 rules when every step built its own.  A
+        rule is one `_gauss` or one `_gauss_moments` call."""
         calls = []
-        gauss = device._gauss
-        monkeypatch.setattr(device, "_gauss",
-                            lambda f, a, b: calls.append(1) or gauss(f, a, b))
+        for name in ("_gauss", "_gauss_moments"):
+            rule = getattr(device, name)
+            monkeypatch.setattr(device, name, lambda f, a, b, rule=rule: (
+                calls.append(1) or rule(f, a, b)))
         device._integrators.cache_clear()
         default_model()
         assert len(calls) <= 100
@@ -523,6 +530,27 @@ class TestIntegralTable:
                    for p in self.PROBABILITIES],)
         assert warmed[0] == warmed[1] == fresh
 
+    @pytest.mark.parametrize("direction", [AP2P, P2AP])
+    def test_pulse_width_is_the_plain_bisection(self, model, direction):
+        """Starting on the spine gives the plain bisection over
+        [0, DEFAULT_MAX_PULSE] bit for bit, whichever p filled the spine
+        first."""
+        # The AP->P CDF levels off below 1 - 1e-9 (test_ap_to_p_saturation).
+        saturated = (1 - 1e-9,) if direction is P2AP else ()
+        ps = (1e-9, 2.0 ** -16, 0.01, 0.3, 0.5, 0.999) + saturated
+
+        def plain(p):
+            return device._bisect(
+                lambda t: switching_probability(t, direction, model),
+                p, 0.0, DEFAULT_MAX_PULSE)
+
+        expected = {p: plain(p) for p in ps}
+        for order in (ps, ps[::-1]):
+            device._integrators.cache_clear()
+            got = {p: pulse_width_for_probability(p, direction, model)
+                   for p in order}
+            assert got == expected
+
     def test_warm_model_pickles(self):
         """A cost model, whose build warms the table, pickles as a plain
         value and prices the same."""
@@ -533,8 +561,9 @@ class TestIntegralTable:
             energy_per_bit(0.3, SngKind.BMS, cost)
 
     def test_threads_sharing_a_fresh_model_match_serial_values(self, model):
-        """Two threads extend one fresh table at once, under a switch
-        interval short enough to interleave them inside one knot piece."""
+        """Two threads extend one fresh table, its knot integrals and its
+        spine, at once, under a switch interval short enough to interleave
+        them inside one knot piece."""
         grid = np.geomspace(0.2e-9, 20e-9, 12)[::-1]
 
         def run(shared, out):
@@ -542,6 +571,9 @@ class TestIntegralTable:
                 for t in grid:
                     out.append(switching_probability(t, direction, shared))
                     out.append(expected_switch_time(t, direction, shared))
+                    out.append(write_energy_split(t, direction, shared))
+                for p in self.PROBABILITIES:
+                    out.append(pulse_width_for_probability(p, direction, shared))
 
         serial = []
         device._integrators.cache_clear()
@@ -552,7 +584,7 @@ class TestIntegralTable:
             for _ in range(40):
                 device._integrators.cache_clear()
                 for direction in (AP2P, P2AP):
-                    # The integrators exist, their knot integrals do not.
+                    # The tables exist, their knot and spine values do not.
                     device._integrators(model.params, direction)
                 outs = ([], [])
                 start = threading.Barrier(2)

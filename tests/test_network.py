@@ -591,6 +591,10 @@ class TestPersistence:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             LayerSpec(np.array([[1.5]]), 1.0)
+        for shape in ((0, 3), (3, 0), (3,)):
+            with pytest.raises(ValueError, match=rf"non-empty 2-D matrix, "
+                                                 rf"got shape {re.escape(str(shape))}$"):
+                LayerSpec(np.zeros(shape), 1.0)
         with pytest.raises(ValueError):
             LayerSpec(np.array([[0.5]]), 0.5)
         with pytest.raises(ValueError):
