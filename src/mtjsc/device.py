@@ -21,6 +21,7 @@ import bisect
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -77,6 +78,8 @@ class MtjParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             # v_read is negative by design; every other field is a magnitude.
@@ -126,6 +129,18 @@ class SwitchingModel:
     norm_constant: dict[SwitchDirection, float]
     anchors: tuple = ()
 
+    def __post_init__(self):
+        # A literal tuple: calibration builds a model per bisection probe,
+        # and iterating the enum costs more than these checks.
+        for direction in (SwitchDirection.AP_TO_P, SwitchDirection.P_TO_AP):
+            if direction not in self.norm_constant:
+                raise ValueError(f"no {direction.value} constant in "
+                                 f"{self.norm_constant!r}")
+            c = self.norm_constant[direction]
+            if not 0.0 < c < math.inf:
+                raise ValueError(f"{direction.value} constant must be finite "
+                                 f"and positive, got {c!r}")
+
     def constant(self, direction: SwitchDirection) -> float:
         return self.norm_constant[direction]
 
@@ -151,6 +166,8 @@ def _overdrive(params: MtjParams, direction: SwitchDirection) -> float:
 def _density(params: MtjParams, direction: SwitchDirection):
     """The uncalibrated density t -> exp(-delta*s2) * over * s2, where
     s2 = sin^2((pi/2) * exp(-kappa*t)), and its kappa."""
+    if not isinstance(direction, SwitchDirection):
+        raise TypeError(f"direction must be a SwitchDirection, got {direction!r}")
     over = _overdrive(params, direction)
     kappa = params.spin_rate() * over
     half_pi, neg_kappa, neg_delta = 0.5 * math.pi, -kappa, -params.delta
@@ -197,73 +214,58 @@ _SPLIT_POINTS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 18.0, 25.0)
 
 
 class _Table(NamedTuple):
-    """Readers of one knot table; see `_integrators`."""
+    """The knot table of the uncalibrated density of one (params,
+    direction); see `_integrators`."""
 
-    cdf: Callable[[float], float]
-    moments: Callable[[float], tuple]
-    spine: Callable[[int], tuple]
+    density: Callable[[float], float]
+    knots: tuple
+    cumulative: tuple   # (integral, first moment) over [0, knot], per knot
+    spine: tuple        # (t_j, cdf(t_j)), t_j = DEFAULT_MAX_PULSE * 2**-j
+
+    def cdf(self, t_end: float) -> float:
+        """The integral of the density over [0, t_end]."""
+        knots = self.knots
+        last = bisect.bisect_left(knots, t_end, 1) - 1
+        return self.cumulative[last][0] + _gauss(self.density, knots[last], t_end)
+
+    def moments(self, t_end: float) -> tuple:
+        """The integrals of the density and of t * density over [0, t_end]."""
+        knots = self.knots
+        last = bisect.bisect_left(knots, t_end, 1) - 1
+        total, moment = self.cumulative[last]
+        tail, tail_moment = _gauss_moments(self.density, knots[last], t_end)
+        return total + tail, moment + tail_moment
 
 
 @functools.cache
 def _integrators(params: MtjParams, direction: SwitchDirection) -> _Table:
-    """The knot table of the uncalibrated density of one (params, direction).
+    """The knot table of the uncalibrated density of one (params, direction),
+    built whole.
 
     `cdf(t)` integrates the density over [0, t] by `_gauss`, and
     `moments(t)` the density and t * density by `_gauss_moments`, which
-    makes the same sums; each takes one rule per piece cut at 0, at the
-    knots x/kappa below t and at t.  Both integrals up to a knot are kept
-    once first needed, so a full piece is integrated once per table.
-    `spine(j)` is (t_j, cdf(t_j)) at t_j = DEFAULT_MAX_PULSE halved j
-    times, the left spine of a bisection over [0, DEFAULT_MAX_PULSE]; it is
-    kept too.
+    makes the same sums; each adds one rule over [last knot below t, t] to
+    the kept integrals up to that knot, which sum one `_gauss_moments` rule
+    per piece in knot order.  The spine holds cdf(t_j) at t_j =
+    DEFAULT_MAX_PULSE halved j times, the left spine of a bisection over
+    [0, DEFAULT_MAX_PULSE], from node 0 down to the first node below the
+    first knot 0.5/kappa.
 
     The table depends on neither the fitted constant nor the pulse, so
-    every model on equal params, calibration's included, shares one.
-    Threads that miss together each build a table; the last one kept is as
-    good as any other.  Kept values are extended on a local copy and
-    published whole, as a new tuple, so no call reads a prefix that another
-    is still extending; every copy holds the same sums in the same order,
-    so a shorter one published late loses work, never accuracy."""
+    every model on equal params, calibration's included, shares one; it is
+    never changed once built."""
     density, kappa = _density(params, direction)
-    knots = [0.0] + [x / kappa for x in _SPLIT_POINTS]
-    cumulative = ((0.0, 0.0),)
-    spine_points = ()
-
-    def prefix(t_end: float) -> tuple:
-        """The last knot below t_end and both integrals up to it."""
-        nonlocal cumulative
-        last = bisect.bisect_left(knots, t_end, 1) - 1
-        kept = cumulative
-        if len(kept) <= last:
-            grown = list(kept)
-            for i in range(len(kept), last + 1):
-                total, moment = _gauss_moments(density, knots[i - 1], knots[i])
-                grown.append((grown[-1][0] + total, grown[-1][1] + moment))
-            kept = cumulative = tuple(grown)
-        return knots[last], kept[last]
-
-    def cdf(t_end: float) -> float:
-        knot, (total, _) = prefix(t_end)
-        return total + _gauss(density, knot, t_end)
-
-    def moments(t_end: float) -> tuple:
-        knot, (total, moment) = prefix(t_end)
-        tail, tail_moment = _gauss_moments(density, knot, t_end)
-        return total + tail, moment + tail_moment
-
-    def spine(j: int) -> tuple:
-        nonlocal spine_points
-        kept = spine_points
-        if len(kept) <= j:
-            grown = list(kept)
-            t = 0.5 * grown[-1][0] if grown else DEFAULT_MAX_PULSE
-            while len(grown) <= j:
-                grown.append((t, cdf(t)))
-                t = 0.5 * t
-            kept = spine_points = tuple(grown)
-        return kept[j]
-
-    return _Table(cdf, moments, spine)
+    knots = (0.0,) + tuple(x / kappa for x in _SPLIT_POINTS)
+    cumulative = [(0.0, 0.0)]
+    for a, b in zip(knots, knots[1:]):
+        total, moment = _gauss_moments(density, a, b)
+        cumulative.append((cumulative[-1][0] + total, cumulative[-1][1] + moment))
+    table = _Table(density, knots, tuple(cumulative), ())
+    spine = [(DEFAULT_MAX_PULSE, table.cdf(DEFAULT_MAX_PULSE))]
+    while spine[-1][0] >= knots[1]:
+        t = 0.5 * spine[-1][0]
+        spine.append((t, table.cdf(t)))
+    return table._replace(spine=tuple(spine))
 
 
 def _probability(c: float, raw: float) -> float:
@@ -356,12 +358,14 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection,
     """Smallest pulse width whose switching probability equals p.
 
     Solved by `_bisect` over [0, DEFAULT_MAX_PULSE] to a relative width
-    tolerance of 1e-6, every midpoint priced as `switching_probability`
-    prices it, through the shared knot table.  Until a midpoint falls
-    short of p, the bisection halves its upper end from DEFAULT_MAX_PULSE
+    tolerance of 1e-6, every midpoint priced through the shared knot table.
+    Until a midpoint falls short of p, the bisection halves its upper end
     with its lower end at 0; those midpoints are the table's spine, so the
-    search reads them and starts from the first one short of p, with the
-    same midpoints after it.  Raises if p is not reachable below
+    search reads them and starts from the first one short of p, or from 0
+    below the last one, with the same midpoints after it.  A probe compares
+    c * cdf(t) with p unclamped, which for 0 < p < 1 and the finite,
+    positive c that `SwitchingModel` holds answers as the clamped
+    `switching_probability` would.  Raises if p is not reachable below
     `DEFAULT_MAX_PULSE` (spine node 0); the CDF levels off below 1 (AP->P
     near 0.999985 for the default model), so a p above that level is
     refused.
@@ -372,19 +376,16 @@ def pulse_width_for_probability(p: float, direction: SwitchDirection,
         return 0.0
     table = _integrators(model.params, direction)
     cdf, c = table.cdf, model.constant(direction)
-    if _probability(c, table.spine(0)[1]) < p:
+    if c * table.spine[0][1] < p:
         raise ValueError(f"switching probability {p} not reachable below "
                          f"{DEFAULT_MAX_PULSE * 1e9:.3g} ns")
-    j = 1
-    while not _probability(c, table.spine(j)[1]) < p:
-        j += 1
-    lo, hi = table.spine(j)[0], table.spine(j - 1)[0]
-
-    def probability(t: float) -> float:
-        # `_probability` inlined: the bisection makes about 20 probes.
-        return min(1.0, max(0.0, c * cdf(t)))
-
-    return _bisect(probability, p, lo, hi)
+    lo, hi = 0.0, DEFAULT_MAX_PULSE
+    for t, raw in table.spine[1:]:
+        if c * raw < p:
+            lo = t
+            break
+        hi = t
+    return _bisect(lambda t: c * cdf(t), p, lo, hi)
 
 
 def _fit_constant(params: MtjParams, anchor: tuple) -> float:

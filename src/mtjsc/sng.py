@@ -71,6 +71,9 @@ class SngCostModel:
         for name in ("reset_energy", "read_energy", "mux_inv_energy",
                      "bit_period_normal", "bit_period_bms"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(
+                    f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if value < 0:

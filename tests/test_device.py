@@ -298,6 +298,19 @@ class TestCalibration:
         with pytest.raises(ValueError, match="anchor probability .* got 0.0"):
             device._fit_constant(MtjParams(), (3.40e-9, 0.0, P2AP))
 
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("direction", [AP2P, P2AP])
+    def test_model_refuses_bad_constant(self, direction, value):
+        """A missing constant, or one that is not a finite positive number,
+        is refused by direction and value: a NaN or zero AP->P constant gave
+        probability 0, an infinite one a 9.9e-315 s pulse width."""
+        other, = set(SwitchDirection) - {direction}
+        with pytest.raises(ValueError, match=f"no {direction.value} constant"):
+            SwitchingModel(MtjParams(), {other: 1.0})
+        with pytest.raises(ValueError, match=f"{direction.value} constant must "
+                           f"be finite and positive, got {value!r}"):
+            SwitchingModel(MtjParams(), {direction: value, other: 1.0})
+
 
 class TestParams:
     def test_resistances(self):
@@ -324,9 +337,12 @@ class TestParams:
         ("tmr", math.inf, "must be finite"),
         ("v_read", math.nan, "must be finite"),
         ("eta_spin", 1.5, r"must be in \(0, 1\]"),
+        ("delta", "47.5", "must be a real number"),
+        ("delta", True, "must be a real number"),
+        ("t_read", None, "must be a real number"),
     ])
     def test_field_named_with_value(self, name, value, message):
-        with pytest.raises(ValueError, match=f"{name} {message}, got {value}"):
+        with pytest.raises(ValueError, match=f"{name} {message}, got {value!r}"):
             MtjParams(**{name: value})
 
     def test_read_bias_may_be_negative(self):
@@ -533,11 +549,12 @@ class TestIntegralTable:
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_pulse_width_is_the_plain_bisection(self, model, direction):
         """Starting on the spine gives the plain bisection over
-        [0, DEFAULT_MAX_PULSE] bit for bit, whichever p filled the spine
-        first."""
+        [0, DEFAULT_MAX_PULSE] bit for bit, in whichever order p is asked;
+        1e-30 and below lie under the spine's last node and start at 0."""
         # The AP->P CDF levels off below 1 - 1e-9 (test_ap_to_p_saturation).
         saturated = (1 - 1e-9,) if direction is P2AP else ()
-        ps = (1e-9, 2.0 ** -16, 0.01, 0.3, 0.5, 0.999) + saturated
+        ps = (5e-324, 1e-300, 1e-30, 1e-9, 2.0 ** -16, 0.01, 0.3, 0.5,
+              0.999) + saturated
 
         def plain(p):
             return device._bisect(
@@ -551,6 +568,30 @@ class TestIntegralTable:
                    for p in order}
             assert got == expected
 
+    @pytest.mark.parametrize("direction", [AP2P, P2AP])
+    def test_table_is_built_whole(self, model, direction, monkeypatch):
+        """Building a table takes one `_gauss_moments` rule per knot piece
+        and one `_gauss` per spine node, down to the first node below the
+        first knot; a pulse width then takes one `_gauss` per probe."""
+        calls, probes = [], []
+        for name in ("_gauss", "_gauss_moments"):
+            rule = getattr(device, name)
+            monkeypatch.setattr(device, name, lambda f, a, b, rule=rule, name=name: (
+                calls.append(name) or rule(f, a, b)))
+        bisect = device._bisect
+        monkeypatch.setattr(device, "_bisect", lambda f, target, lo, hi: bisect(
+            lambda t: probes.append(t) or f(t), target, lo, hi))
+        device._integrators.cache_clear()
+        table = device._integrators(model.params, direction)
+        assert len(table.spine) == 8
+        assert table.spine[-1][0] < table.knots[1] <= table.spine[-2][0]
+        assert calls == ["_gauss_moments"] * 10 + ["_gauss"] * 8
+        for p in (1e-30, 0.3, 0.999):
+            calls.clear()
+            probes.clear()
+            pulse_width_for_probability(p, direction, model)
+            assert probes and calls == ["_gauss"] * len(probes)
+
     def test_warm_model_pickles(self):
         """A cost model, whose build warms the table, pickles as a plain
         value and prices the same."""
@@ -561,9 +602,9 @@ class TestIntegralTable:
             energy_per_bit(0.3, SngKind.BMS, cost)
 
     def test_threads_sharing_a_fresh_model_match_serial_values(self, model):
-        """Two threads extend one fresh table, its knot integrals and its
-        spine, at once, under a switch interval short enough to interleave
-        them inside one knot piece."""
+        """Two threads miss the cleared table cache together, each builds a
+        table, and both read whichever was kept, under a switch interval
+        short enough to interleave the builds inside one knot piece."""
         grid = np.geomspace(0.2e-9, 20e-9, 12)[::-1]
 
         def run(shared, out):
@@ -583,9 +624,6 @@ class TestIntegralTable:
         try:
             for _ in range(40):
                 device._integrators.cache_clear()
-                for direction in (AP2P, P2AP):
-                    # The tables exist, their knot and spine values do not.
-                    device._integrators(model.params, direction)
                 outs = ([], [])
                 start = threading.Barrier(2)
                 threads = [threading.Thread(target=lambda out=out: (
@@ -626,6 +664,18 @@ class TestRejectsBadTimes:
 
 
 class TestMessagesNameTheValue:
+    @pytest.mark.parametrize("fn", [
+        switching_density, switching_probability, expected_switch_time,
+        write_energy_split, expected_write_energy, pulse_width_for_probability])
+    def test_direction_not_a_switch_direction(self, model, fn):
+        """A direction given by its value is refused by name before any
+        table is built for it."""
+        device._integrators.cache_clear()
+        with pytest.raises(TypeError, match="direction must be a "
+                           "SwitchDirection, got 'ap_to_p'"):
+            fn(0.3, "ap_to_p", model)
+        assert device._integrators.cache_info().currsize == 0
+
     @pytest.mark.parametrize("p", [1.0, -0.1, math.nan])
     def test_pulse_width_probability(self, model, p):
         with pytest.raises(ValueError, match=rf"p must be in \[0, 1\), got {p}"):
@@ -640,7 +690,8 @@ class TestMessagesNameTheValue:
             default_model(params)
         message = str(err.value)
         assert f"energy anchor {device.P2AP_ENERGY_ANCHOR} J" in message
+        c_ap = device._fit_constant(params, (*device.AP2P_ANCHOR, AP2P))
         for t in (lo, hi):
             c = device._fit_constant(params, (t, 0.999, P2AP))
-            m = SwitchingModel(params, {P2AP: c})
+            m = SwitchingModel(params, {AP2P: c_ap, P2AP: c})
             assert f"{expected_write_energy(t, P2AP, m)} J at {t} s" in message

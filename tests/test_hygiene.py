@@ -1,8 +1,8 @@
 """Source hygiene: no unused imports in the package or its tests, no
 private helper without a caller in the package, no settings read from the
-environment, no thread started, scipy kept to the LP solver, every declared
-script resolves, and every function the benchmark traces or name it reads
-exists."""
+environment, no `nonlocal` or `global` state in the package, no thread
+started, scipy kept to the LP solver, every declared script resolves, and
+every function the benchmark traces or name it reads exists."""
 
 import ast
 import importlib
@@ -129,6 +129,32 @@ def test_scan_finds_environment_reads():
 def test_no_environment_reads(path):
     """Every setting is an argument: nothing is read from the environment."""
     assert environment_reads(path.read_text()) == []
+
+
+def rebound_names(source: str) -> list[str]:
+    """`nonlocal` and `global` statements: names a call rebinds in state
+    that outlives it, held in a closure or in the module."""
+    found = [(node.lineno, f"{type(node).__name__.lower()} "
+                           f"{', '.join(node.names)} (line {node.lineno})")
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Nonlocal, ast.Global))]
+    return [text for _, text in sorted(found)]
+
+
+def test_scan_finds_rebound_names():
+    source = ("N = 0\ndef count():\n    global N\n    N += 1\n"
+              "def table():\n    kept, spine = (), ()\n"
+              "    def grow():\n        nonlocal kept, spine\n"
+              "        kept = spine = (1,)\n    return grow\n")
+    assert rebound_names(source) == ["global N (line 3)",
+                                     "nonlocal kept, spine (line 8)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_rebound_names(path):
+    """No call rebinds closure or module state: shared values are built
+    whole and passed or cached as values."""
+    assert rebound_names(path.read_text()) == []
 
 
 def run_script(lines: list[str]) -> None:

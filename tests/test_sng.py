@@ -220,9 +220,13 @@ class TestSharedPaths:
     @pytest.mark.parametrize("name", ["reset_energy", "read_energy",
                                       "mux_inv_energy", "bit_period_normal",
                                       "bit_period_bms"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1e-15",
+                                       True, None])
     def test_cost_model_rejects_non_finite(self, cost_model, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        """A value that is not finite, or not a real number at all, is named."""
+        reason = "finite" if isinstance(value, float) else "a real number"
+        with pytest.raises(ValueError,
+                           match=f"{name} must be {reason}, got {value!r}"):
             dataclasses.replace(cost_model, **{name: value})
 
     def test_cache_not_part_of_equality(self):
