@@ -123,26 +123,33 @@ class MtjParams:
 
 @dataclass(frozen=True)
 class SwitchingModel:
-    """Calibrated switching model: params plus per-direction pdf constants."""
+    """Calibrated switching model: params plus one pdf constant per
+    direction, each field named by its direction's value."""
 
     params: MtjParams
-    norm_constant: dict[SwitchDirection, float]
+    ap_to_p: float
+    p_to_ap: float
     anchors: tuple = ()
 
     def __post_init__(self):
-        # A literal tuple: calibration builds a model per bisection probe,
-        # and iterating the enum costs more than these checks.
-        for direction in (SwitchDirection.AP_TO_P, SwitchDirection.P_TO_AP):
-            if direction not in self.norm_constant:
-                raise ValueError(f"no {direction.value} constant in "
-                                 f"{self.norm_constant!r}")
-            c = self.norm_constant[direction]
+        # A float passes before the abstract-class check: calibration builds
+        # a model per bisection probe, and that check costs more than the
+        # rest of the construction.
+        for name, c in (("ap_to_p", self.ap_to_p), ("p_to_ap", self.p_to_ap)):
+            if not isinstance(c, float) and (
+                    isinstance(c, bool) or not isinstance(c, numbers.Real)):
+                raise ValueError(f"{name} constant must be a real number, "
+                                 f"got {c!r}")
             if not 0.0 < c < math.inf:
-                raise ValueError(f"{direction.value} constant must be finite "
-                                 f"and positive, got {c!r}")
+                raise ValueError(f"{name} constant must be finite and "
+                                 f"positive, got {c!r}")
 
     def constant(self, direction: SwitchDirection) -> float:
-        return self.norm_constant[direction]
+        if direction is SwitchDirection.AP_TO_P:
+            return self.ap_to_p
+        if direction is SwitchDirection.P_TO_AP:
+            return self.p_to_ap
+        raise TypeError(f"direction must be a SwitchDirection, got {direction!r}")
 
 
 def _check_time(name: str, t: float) -> None:
@@ -273,28 +280,12 @@ def _probability(c: float, raw: float) -> float:
     return min(1.0, max(0.0, c * raw))
 
 
-def switching_density(t: float, direction: SwitchDirection,
-                      model: SwitchingModel) -> float:
-    """Probability density (1/s) of switching at time t under a pulse."""
-    _check_time("t", t)
-    density, _ = _density(model.params, direction)
-    return model.constant(direction) * density(t)
-
-
 def switching_probability(t_p: float, direction: SwitchDirection,
                           model: SwitchingModel) -> float:
     """Cumulative switching probability for a pulse of width t_p, in [0, 1]."""
     _check_time("t_p", t_p)
     raw = _integrators(model.params, direction).cdf(t_p)
     return _probability(model.constant(direction), raw)
-
-
-def expected_switch_time(t_p: float, direction: SwitchDirection,
-                         model: SwitchingModel) -> float:
-    """Integral of t * pdf(t) over [0, t_p] (unconditional, in seconds)."""
-    _check_time("t_p", t_p)
-    _, moment = _integrators(model.params, direction).moments(t_p)
-    return model.constant(direction) * moment
 
 
 class WriteEnergySplit(NamedTuple):
@@ -317,8 +308,9 @@ def write_energy_split(t_p: float, direction: SwitchDirection,
     the expected switching time and the end-state current afterwards:
     V*(I_start*E[t_sw] + I_end*(T - E[t_sw])).  If it does not switch, the
     start-state current flows for the whole pulse: V*I_start*T.  Both
-    integrals come from one pass of the knot table, each bit for bit what
-    `switching_probability` and `expected_switch_time` return.
+    integrals come from one pass of the knot table, `moments`: p_switch is
+    bit for bit what `switching_probability` returns, and E[t_sw] is the
+    model constant times the first moment.
     """
     _check_time("t_p", t_p)
     params = model.params
@@ -415,11 +407,8 @@ def default_model(params: MtjParams | None = None) -> SwitchingModel:
 
     def fitted(t: float) -> SwitchingModel:
         p2ap_anchor = (t, p_anchor, SwitchDirection.P_TO_AP)
-        return SwitchingModel(
-            params,
-            {SwitchDirection.AP_TO_P: c_ap,
-             SwitchDirection.P_TO_AP: _fit_constant(params, p2ap_anchor)},
-            (ap_anchor, p2ap_anchor))
+        return SwitchingModel(params, c_ap, _fit_constant(params, p2ap_anchor),
+                              (ap_anchor, p2ap_anchor))
 
     def energy_at(t: float) -> float:
         return expected_write_energy(t, SwitchDirection.P_TO_AP, fitted(t))

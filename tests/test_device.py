@@ -1,8 +1,9 @@
 """Tests for the MTJ switching model against its calibration anchors.
 
-The coarse oracle is plain trapezoidal integration of `switching_density`
-on a fine uniform grid.  `TestExactReference` gates the module's fixed
-quadrature rule against a high-precision one (`quad_integral` below).
+The coarse oracle is plain trapezoidal integration of the reference
+density (`ref_density` below, times the model constant) on a fine uniform
+grid.  `TestExactReference` gates the module's fixed quadrature rule
+against a high-precision one (`quad_integral` below).
 """
 
 import dataclasses
@@ -22,10 +23,8 @@ from mtjsc.device import (
     SwitchDirection,
     SwitchingModel,
     default_model,
-    expected_switch_time,
     expected_write_energy,
     pulse_width_for_probability,
-    switching_density,
     switching_probability,
     write_energy_split,
 )
@@ -46,24 +45,6 @@ def model():
     return default_model()
 
 
-def trapezoid_cdf(t_p, direction, model, steps=10_000):
-    ts = np.linspace(0.0, t_p, steps + 1)
-    dens = np.array([switching_density(t, direction, model) for t in ts])
-    return np.trapezoid(dens, ts)
-
-
-def trapezoid_first_moment(t_p, direction, model, steps=10_000):
-    ts = np.linspace(0.0, t_p, steps + 1)
-    dens = np.array([t * switching_density(t, direction, model) for t in ts])
-    return np.trapezoid(dens, ts)
-
-
-# High-precision reference, independent of the module's fixed rule:
-# scipy's adaptive quadrature on each knot piece at a relative tolerance of
-# 1e-13, the pieces summed exactly.  Against 30-digit mpmath it is within
-# 4e-14.
-
-
 def ref_density(t, kappa, over, delta):
     phi = 0.5 * math.pi * math.exp(-kappa * t)
     s2 = math.sin(phi) ** 2
@@ -73,6 +54,31 @@ def ref_density(t, kappa, over, delta):
 def ref_kappa_over(params, direction):
     over = params.current_density(direction) - params.jc0(direction)
     return params.spin_rate() * over, over
+
+
+def trapezoid_integral(t_p, direction, model, moment=0, steps=10_000):
+    """Trapezoid rule for the integral of t**moment times the calibrated
+    reference density over [0, t_p]."""
+    params = model.params
+    kappa, over = ref_kappa_over(params, direction)
+    ts = np.linspace(0.0, t_p, steps + 1)
+    dens = np.array([t ** moment * ref_density(t, kappa, over, params.delta)
+                     for t in ts])
+    return model.constant(direction) * np.trapezoid(dens, ts)
+
+
+def switch_time(t_p, direction, model):
+    """The unconditional expected switch time E[t_sw] that
+    `write_energy_split` prices: the model constant times the knot table's
+    first moment over [0, t_p]."""
+    _, moment = device._integrators(model.params, direction).moments(t_p)
+    return model.constant(direction) * moment
+
+
+# High-precision reference, independent of the module's fixed rule:
+# scipy's adaptive quadrature on each knot piece at a relative tolerance of
+# 1e-13, the pieces summed exactly.  Against 30-digit mpmath it is within
+# 4e-14.
 
 
 def quad_integral(params, t_end, direction, moment=0):
@@ -127,30 +133,34 @@ def knot_grid(params, direction):
 
 
 class TestSwitchingDensity:
+    """The uncalibrated density that the knot table integrates."""
+
     def test_t0_is_maximal_angle_term(self, model):
         """At t = 0 the precession angle is pi/2 exactly."""
         params = model.params
         over = params.current_density(AP2P) - params.jc0(AP2P)
-        expected = model.constant(AP2P) * math.exp(-params.delta) * over
-        assert switching_density(0.0, AP2P, model) == pytest.approx(expected)
+        density, _ = device._density(params, AP2P)
+        assert density(0.0) == pytest.approx(math.exp(-params.delta) * over)
 
     def test_decays_to_zero(self, model):
-        assert switching_density(50e-9, AP2P, model) < 1e-12 * \
-            switching_density(2e-9, AP2P, model)
+        density, _ = device._density(model.params, AP2P)
+        assert density(50e-9) < 1e-12 * density(2e-9)
 
     def test_nonnegative(self, model):
+        density, _ = device._density(model.params, AP2P)
         for t in np.linspace(0, 10e-9, 200):
-            assert switching_density(t, AP2P, model) >= 0.0
+            assert density(t) >= 0.0
 
     def test_low_bias_rejected(self, model):
         low = dataclasses.replace(
             model, params=dataclasses.replace(model.params, v_write=0.2))
         with pytest.raises(ValueError, match="precessional"):
-            switching_density(1e-9, AP2P, low)
+            switching_probability(1e-9, AP2P, low)
 
     def test_density_consistent_with_half_probability_anchor(self, model):
-        """Integrating the density up to 1.49 ns gives the 50% anchor."""
-        integral = trapezoid_cdf(1.49e-9, AP2P, model)
+        """Integrating the reference density, times the fitted constant, up
+        to 1.49 ns gives the 50% anchor."""
+        integral = trapezoid_integral(1.49e-9, AP2P, model)
         assert integral == pytest.approx(0.50, abs=0.01)
 
 
@@ -174,24 +184,26 @@ class TestSwitchingProbability:
 
     def test_matches_trapezoid_oracle(self, model):
         for t_p in (0.8e-9, 1.49e-9, 2.5e-9, 3.40e-9):
-            oracle = trapezoid_cdf(t_p, AP2P, model)
+            oracle = trapezoid_integral(t_p, AP2P, model)
             got = switching_probability(t_p, AP2P, model)
             assert got == pytest.approx(oracle, rel=1e-3)
 
 
 class TestExpectedSwitchTime:
+    """E[t_sw] as `write_energy_split` prices it (`switch_time`)."""
+
     def test_zero_pulse(self, model):
-        assert expected_switch_time(0.0, AP2P, model) == 0.0
+        assert switch_time(0.0, AP2P, model) == 0.0
 
     def test_bounded_by_pulse_times_probability(self, model):
         for t_p in (0.5e-9, 1.49e-9, 3.40e-9, 8e-9):
-            e_t = expected_switch_time(t_p, AP2P, model)
+            e_t = switch_time(t_p, AP2P, model)
             p = switching_probability(t_p, AP2P, model)
             assert 0.0 <= e_t <= t_p * p + 1e-18
 
     def test_matches_trapezoid_oracle(self, model):
-        oracle = trapezoid_first_moment(3.40e-9, AP2P, model)
-        got = expected_switch_time(3.40e-9, AP2P, model)
+        oracle = trapezoid_integral(3.40e-9, AP2P, model, moment=1)
+        got = switch_time(3.40e-9, AP2P, model)
         assert got == pytest.approx(oracle, rel=1e-3)
 
 
@@ -227,8 +239,8 @@ class TestWriteEnergySplit:
 
     def test_outcome_energies(self, model):
         """One pass of the knot table gives what `switching_probability`
-        and `expected_switch_time` give apart, at the 70% width and on the
-        knot grid."""
+        and the table's first moment (`switch_time`) give apart, at the 70%
+        width and on the knot grid."""
         params = model.params
         for direction in (AP2P, P2AP):
             v = params.v_write
@@ -237,7 +249,7 @@ class TestWriteEnergySplit:
             widths = [pulse_width_for_probability(0.7, direction, model)]
             for t_p in widths + knot_grid(params, direction):
                 split = write_energy_split(t_p, direction, model)
-                e_t = expected_switch_time(t_p, direction, model)
+                e_t = switch_time(t_p, direction, model)
                 assert split.p_switch == switching_probability(
                     t_p, direction, model)
                 assert split.switched == v * (i_start * e_t
@@ -283,7 +295,18 @@ class TestCalibration:
     def test_idempotent(self):
         m1 = default_model()
         m2 = default_model(m1.params)
-        assert m1.norm_constant == m2.norm_constant
+        assert m1 == m2
+
+    def test_model_is_a_frozen_hashable_value(self, model):
+        """Setting a field raises, and equal models, like the cost models
+        built on them, compare and hash equal, so either can key a cache."""
+        for name in ("ap_to_p", "p_to_ap"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, math.nan)
+        copy = default_model(dataclasses.replace(model.params))
+        assert copy == model and hash(copy) == hash(model)
+        cost, cost_copy = build_cost_model(model), build_cost_model(copy)
+        assert cost_copy == cost and hash(cost_copy) == hash(cost)
 
     def test_predicts_half_point(self):
         model = default_model()
@@ -298,18 +321,23 @@ class TestCalibration:
         with pytest.raises(ValueError, match="anchor probability .* got 0.0"):
             device._fit_constant(MtjParams(), (3.40e-9, 0.0, P2AP))
 
-    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf,
+                                       True, "1.0", None])
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_model_refuses_bad_constant(self, direction, value):
         """A missing constant, or one that is not a finite positive number,
         is refused by direction and value: a NaN or zero AP->P constant gave
-        probability 0, an infinite one a 9.9e-315 s pulse width."""
-        other, = set(SwitchDirection) - {direction}
-        with pytest.raises(ValueError, match=f"no {direction.value} constant"):
-            SwitchingModel(MtjParams(), {other: 1.0})
+        probability 0, an infinite one a 9.9e-315 s pulse width, True was
+        taken as 1, and a string or None failed on an unnamed comparison."""
+        message = ("be finite and positive" if isinstance(value, float)
+                   else "be a real number")
+        other = {AP2P: P2AP, P2AP: AP2P}[direction].value
+        with pytest.raises(TypeError, match="missing 1 required positional "
+                           f"argument: '{direction.value}'"):
+            SwitchingModel(MtjParams(), **{other: 1.0})
         with pytest.raises(ValueError, match=f"{direction.value} constant must "
-                           f"be finite and positive, got {value!r}"):
-            SwitchingModel(MtjParams(), {direction: value, other: 1.0})
+                           f"{message}, got {value!r}"):
+            SwitchingModel(MtjParams(), **{direction.value: value, other: 1.0})
 
 
 class TestParams:
@@ -393,6 +421,8 @@ class TestExactReference:
     @pytest.mark.parametrize("overdrive", ["v_write", "near_threshold"])
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
     def test_expected_switch_time_on_knot_grid(self, model, direction, overdrive):
+        """E[t_sw] as `write_energy_split` prices it, the model constant
+        times the table's first moment, against the reference moment."""
         model = self.model_for(model, direction, overdrive)
         params = model.params
         if overdrive == "v_write":
@@ -402,7 +432,7 @@ class TestExactReference:
         c = model.constant(direction)
         for t in grid:
             expected = c * quad_integral(params, t, direction, 1)
-            assert expected_switch_time(t, direction, model) == \
+            assert switch_time(t, direction, model) == \
                 pytest.approx(expected, rel=rel, abs=0)
 
     @pytest.mark.parametrize("direction", [AP2P, P2AP])
@@ -510,6 +540,7 @@ class TestIntegralTable:
                       for m in models}
             assert len(tables) == 1
         assert first == second == third == fourth
+        assert len({hash(m) for m in models}) == 1
         splits = [write_energy_split(2e-9, P2AP, m) for m in models]
         assert splits[0] == splits[1] == splits[2] == splits[3]
 
@@ -517,7 +548,6 @@ class TestIntegralTable:
     def values(model, direction, grid, probabilities):
         """Every table-backed function of `model` on the grid, in order."""
         return ([switching_probability(t, direction, model) for t in grid],
-                [expected_switch_time(t, direction, model) for t in grid],
                 [write_energy_split(t, direction, model) for t in grid],
                 [pulse_width_for_probability(p, direction, model)
                  for p in probabilities])
@@ -531,7 +561,7 @@ class TestIntegralTable:
             device._integrators.cache_clear()
             for t in order:
                 switching_probability(t, direction, model)
-                expected_switch_time(t, direction, model)
+                write_energy_split(t, direction, model)
             warmed.append(self.values(model, direction, grid, self.PROBABILITIES))
 
         # Every value from a table that holds nothing yet.
@@ -540,8 +570,7 @@ class TestIntegralTable:
             return fn(x, direction, model)
 
         fresh = tuple([cold(fn, t) for t in grid]
-                      for fn in (switching_probability, expected_switch_time,
-                                 write_energy_split))
+                      for fn in (switching_probability, write_energy_split))
         fresh += ([cold(pulse_width_for_probability, p)
                    for p in self.PROBABILITIES],)
         assert warmed[0] == warmed[1] == fresh
@@ -611,7 +640,6 @@ class TestIntegralTable:
             for direction in (AP2P, P2AP):
                 for t in grid:
                     out.append(switching_probability(t, direction, shared))
-                    out.append(expected_switch_time(t, direction, shared))
                     out.append(write_energy_split(t, direction, shared))
                 for p in self.PROBABILITIES:
                     out.append(pulse_width_for_probability(p, direction, shared))
@@ -645,16 +673,11 @@ class TestRejectsBadTimes:
     BAD = [math.nan, math.inf, -math.inf, -1e-9]
 
     @pytest.mark.parametrize("t", BAD)
-    @pytest.mark.parametrize("fn", [switching_probability, expected_switch_time,
-                                    write_energy_split, expected_write_energy])
+    @pytest.mark.parametrize("fn", [switching_probability, write_energy_split,
+                                    expected_write_energy])
     def test_pulse_width_rejected(self, model, fn, t):
         with pytest.raises(ValueError, match=f"t_p must be finite and nonnegative, got {t}"):
             fn(t, AP2P, model)
-
-    @pytest.mark.parametrize("t", BAD)
-    def test_density_time_rejected(self, model, t):
-        with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
-            switching_density(t, AP2P, model)
 
     @pytest.mark.parametrize("t", BAD)
     def test_anchor_time_rejected(self, t):
@@ -665,8 +688,8 @@ class TestRejectsBadTimes:
 
 class TestMessagesNameTheValue:
     @pytest.mark.parametrize("fn", [
-        switching_density, switching_probability, expected_switch_time,
-        write_energy_split, expected_write_energy, pulse_width_for_probability])
+        switching_probability, write_energy_split, expected_write_energy,
+        pulse_width_for_probability])
     def test_direction_not_a_switch_direction(self, model, fn):
         """A direction given by its value is refused by name before any
         table is built for it."""
@@ -675,6 +698,14 @@ class TestMessagesNameTheValue:
                            "SwitchDirection, got 'ap_to_p'"):
             fn(0.3, "ap_to_p", model)
         assert device._integrators.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("direction", ["ap_to_p", "p_to_ap", None])
+    def test_constant_refuses_a_direction_by_value(self, model, direction):
+        """Anything but a SwitchDirection is refused by name, neither read
+        as the P->AP constant nor raised as a bare KeyError."""
+        with pytest.raises(TypeError, match="direction must be a "
+                           f"SwitchDirection, got {direction!r}"):
+            model.constant(direction)
 
     @pytest.mark.parametrize("p", [1.0, -0.1, math.nan])
     def test_pulse_width_probability(self, model, p):
@@ -693,5 +724,5 @@ class TestMessagesNameTheValue:
         c_ap = device._fit_constant(params, (*device.AP2P_ANCHOR, AP2P))
         for t in (lo, hi):
             c = device._fit_constant(params, (t, 0.999, P2AP))
-            m = SwitchingModel(params, {AP2P: c_ap, P2AP: c})
+            m = SwitchingModel(params, c_ap, c)
             assert f"{expected_write_energy(t, P2AP, m)} J at {t} s" in message

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports in the package or its tests, no
-private helper without a caller in the package, no settings read from the
-environment, no `nonlocal` or `global` state in the package, no thread
-started, scipy kept to the LP solver, every declared script resolves, and
-every function the benchmark traces or name it reads exists."""
+private helper without a caller in the package, no public function or class
+that only tests reach, no settings read from the environment, no `nonlocal`
+or `global` state in the package, no thread started, scipy kept to the LP
+solver, every declared script resolves, and every function the benchmark
+traces or name it reads exists."""
 
 import ast
 import importlib
@@ -17,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "mtjsc").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv"}
 
@@ -90,6 +92,64 @@ def test_no_unused_private_names():
     references from tests do not count."""
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unused_private_names(sources) == []
+
+
+def unreferenced_public_names(package: dict[str, str], users: dict[str, str],
+                              traced=()) -> list[str]:
+    """Module-level public functions and classes of `package` (module name
+    -> source) that no source of `package` or `users` references outside
+    their own definition, and that no `module.name` of `traced` names."""
+    defined, used = [], {name.partition(".")[2] for name in traced}
+    for module, source in sorted({**users, **package}.items()):
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if module in package and not own.startswith("_"):
+                    defined.append(f"{module}.{own}")
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    name = inner.id
+                elif isinstance(inner, ast.Attribute):
+                    name = inner.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(name for name in defined
+                  if name.partition(".")[2] not in used)
+
+
+# Public names that nothing in the package or the benchmark calls yet, each
+# with what it is kept for; a module name exempts every name in it.
+UNCALLED = {
+    "network.save_network": "the net I/O of the planned command-line run",
+    "network.load_network": "the net I/O of the planned command-line run",
+    "lp": "the LP solver of the paper's weight approximation, not yet wired",
+}
+
+
+def test_scan_finds_unreferenced_public_names():
+    package = {"a": "def f(): return f()\ndef g(): pass\nclass C:\n"
+                    "    def m(self): return C\nK = 1\ndef _h(): pass\n",
+               "b": "from .a import g\ndef t(): pass\n"}
+    users = {"bench": "import a\nx = a.g.__name__\n"}
+    assert unreferenced_public_names(package, users) == ["a.C", "a.f", "b.t"]
+    assert unreferenced_public_names(package, users, ("b.t",)) == ["a.C", "a.f"]
+
+
+def test_no_public_name_only_tests_reach():
+    """Every public function and class of the package is called, named or
+    traced by the package or the benchmark, apart from `UNCALLED`; each
+    entry of which must still be unreferenced."""
+    package = {path.stem: path.read_text() for path in MODULES}
+    users = {f"perfbench.{path.stem}": path.read_text() for path in BENCHMARK}
+    _, traced, _ = trace_targets(WORKLOADS.read_text())
+    found = unreferenced_public_names(package, users, traced)
+    keys = {name: name if name in UNCALLED else name.partition(".")[0]
+            for name in found}
+    assert [name for name, key in keys.items() if key not in UNCALLED] == []
+    assert set(UNCALLED) <= set(keys.values()), "drop the referenced entries"
 
 
 def test_declared_scripts_resolve():
