@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import _is_count, _is_seed, _label_problem
+from .network import _label_problem
+from .sng import _is_count, _is_seed
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -149,26 +150,25 @@ def load_csv_dataset(path, schema: CsvSchema) -> Dataset:
     """
     rows = []
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
-    start = 0
     label_idx = schema.label_column
     if schema.has_header:
-        header = [h.strip().strip('"') for h in lines[0].split(schema.delimiter)]
-        start = 1
+        (_, first), *lines = lines
+        header = [h.strip().strip('"') for h in first.split(schema.delimiter)]
         if isinstance(label_idx, str):
             if label_idx not in header:
                 raise DataError(f"{path}: missing column {label_idx!r}")
             label_idx = header.index(label_idx)
     elif isinstance(label_idx, str):
         raise DataError("named label column requires a header row")
-    if start == len(lines):
+    if not lines:
         raise DataError(f"{path}: no data rows below the header")
     column = (f"{schema.label_column!r} (index {label_idx})"
               if isinstance(schema.label_column, str) else str(label_idx))
     labels = []
-    for ln_no, line in enumerate(lines[start:], start + 1):
+    for ln_no, line in lines:
         cells = [c.strip().strip('"') for c in line.split(schema.delimiter)]
         if not -len(cells) <= label_idx < len(cells):
             raise DataError(f"{path}:{ln_no}: {len(cells)} cells, too few for "

@@ -143,6 +143,10 @@ class SwitchingModel:
             if not 0.0 < c < math.inf:
                 raise ValueError(f"{name} constant must be finite and "
                                  f"positive, got {c!r}")
+        if not (isinstance(self.anchors, tuple)
+                and all(isinstance(a, tuple) for a in self.anchors)):
+            raise ValueError(f"anchors must be a tuple of tuples, got "
+                             f"{self.anchors!r}")
 
     def constant(self, direction: SwitchDirection) -> float:
         if direction is SwitchDirection.AP_TO_P:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .network import _is_seed
+from .sng import _is_seed
 
 FEAS_TOL = 1e-7
 

@@ -28,14 +28,15 @@ draws are batched.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .sng import (FAIR_THRESHOLD, SngKind, sng_bits, uniform16,
-                  write_thresholds)
+from .sng import (FAIR_THRESHOLD, SngKind, _is_count, _is_seed, sng_bits,
+                  uniform16, write_thresholds)
 from .streams import default_tanh_states, fsm_tanh
 
 ALLOWED_STREAM_LENGTHS = frozenset(128 << k for k in range(8))
@@ -84,7 +85,7 @@ class LayerSpec:
                              f"{abs(w[i, j])} at ({i}, {j})")
         m = self.m_scale
         if (isinstance(m, bool) or not isinstance(m, numbers.Real)
-                or not (np.isfinite(m) and m >= 1.0)):
+                or not (math.isfinite(m) and m >= 1.0)):
             raise ValueError(f"scaling factor M must be a finite real number "
                              f">= 1, got {m!r}")
         w.setflags(write=False)
@@ -134,17 +135,6 @@ class EvalConfig:
         if not _is_seed(self.seed):
             raise ValueError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _is_seed(value) -> bool:
-    """Whether `value` is a non-negative integer, as `SeedSequence` takes."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value >= 0)
-
-
-def _is_count(value) -> bool:
-    """Whether `value` is an integer >= 1 (a bool is not)."""
-    return _is_seed(value) and value >= 1
 
 
 def _label_problem(labels: np.ndarray) -> str | None:

@@ -107,6 +107,17 @@ def build_cost_model(model: SwitchingModel | None = None) -> SngCostModel:
     )
 
 
+def _is_seed(value) -> bool:
+    """Whether `value` is a non-negative integer, as `SeedSequence` takes."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 0)
+
+
+def _is_count(value) -> bool:
+    """Whether `value` is an integer >= 1 (a bool is not)."""
+    return _is_seed(value) and value >= 1
+
+
 def _check_kind(kind) -> None:
     if not isinstance(kind, SngKind):
         raise TypeError(f"kind must be a SngKind, got {kind!r}")
@@ -204,8 +215,12 @@ def generate_stream(p: float, n: int, kind: SngKind, seed,
     unquantized write probability.  Deterministic given the seed.
     """
     _check_p(p)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not _is_count(n):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (_is_seed(seed) or (isinstance(seed, tuple) and seed
+                               and all(map(_is_seed, seed)))):
+        raise ValueError(f"seed must be a non-negative integer or a tuple of "
+                         f"them, got {seed!r}")
     split = _write_split(write_probability(p, kind), cost_model)
     bits = sng_bits(p, n, np.random.default_rng(seed))
     switched = bits != (kind is SngKind.NORMAL or p >= 0.5)

@@ -4,19 +4,21 @@ Networks are tanh-activated and bias-free so the trained weights drop
 straight into the scaled stream-domain form.  Targets are one-hot vectors
 at +-0.9, which keeps the tanh outputs off their saturated tails.  The
 learning rate halves whenever an epoch fails to reduce the full training
-loss (the epoch is rolled back), so the recorded loss history never
+loss (the trial epoch is dropped), so the recorded loss history never
 increases.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import Dataset
-from .network import LayerSpec, NetworkSpec, _is_count, _is_seed
+from .network import LayerSpec, NetworkSpec
+from .sng import _is_count, _is_seed
 
 TARGET_HIGH = 0.9
 TARGET_LOW = -0.9
@@ -37,9 +39,10 @@ class TrainConfig:
     def __post_init__(self):
         eta = self.eta
         if (isinstance(eta, bool) or not isinstance(eta, numbers.Real)
-                or not (np.isfinite(eta) and eta > 0)):
+                or not (math.isfinite(eta) and eta > 0)):
             raise ValueError(
                 f"learning rate must be finite and positive, got {eta!r}")
+        object.__setattr__(self, "eta", float(eta))
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not _is_count(value):
@@ -79,11 +82,15 @@ def forward_raw(weights, x: np.ndarray) -> list[np.ndarray]:
     return outs
 
 
+def _loss(outputs: np.ndarray, y: np.ndarray) -> float:
+    return 0.5 * float(np.sum((outputs - y) ** 2)) / outputs.shape[0]
+
+
 def loss_and_gradients(weights, x: np.ndarray, y: np.ndarray):
     """Mean squared error (0.5 * sum over outputs) and its weight gradients."""
     acts = forward_raw(weights, x)
     batch = x.shape[0]
-    loss = 0.5 * float(np.sum((acts[-1] - y) ** 2)) / batch
+    loss = _loss(acts[-1], y)
     grads = []
     delta = (acts[-1] - y) * (1.0 - acts[-1] ** 2)
     for k in range(len(weights) - 1, -1, -1):
@@ -96,25 +103,23 @@ def loss_and_gradients(weights, x: np.ndarray, y: np.ndarray):
 
 
 def _init_weights(dims, rng) -> list[np.ndarray]:
-    weights = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-    return weights
+    return [rng.uniform(-1.0 / np.sqrt(a), 1.0 / np.sqrt(a), size=(a, b))
+            for a, b in zip(dims[:-1], dims[1:])]
 
 
-def _train_accuracy(weights, x, labels) -> float:
-    outputs = forward_raw(weights, x)[-1]
-    return float(np.mean(np.argmax(outputs, axis=1) == labels))
+def _score(weights, x, y, labels) -> tuple[float, float]:
+    """Loss and argmax accuracy of `weights`, from one forward pass."""
+    out = forward_raw(weights, x)[-1]
+    return _loss(out, y), float(np.mean(np.argmax(out, axis=1) == labels))
 
 
-def train_backprop(dims, dataset: Dataset, config: TrainConfig,
-                   validation: Dataset | None = None) -> RawNetwork:
+def train_backprop(dims, dataset: Dataset, config: TrainConfig) -> RawNetwork:
     """Gradient-descent training of a tanh MLP on [-1, 1] features.
 
-    dims is (I, J) or (I, L, J) and must match the dataset; a divergent run
-    (a trial epoch with non-finite loss, or with a weight past
-    DIVERGENCE_WEIGHT_BOUND) aborts with a diagnostic.
+    dims is (I, J) or (I, L, J) and must match the dataset.  A trial epoch
+    whose full training loss rose is dropped and eta halves, until eta
+    falls below 1e-12.  A divergent run (non-finite trial loss, or a weight
+    past DIVERGENCE_WEIGHT_BOUND) aborts with a diagnostic.
     """
     dims = tuple(dims)
     if len(dims) < 2:
@@ -130,48 +135,33 @@ def train_backprop(dims, dataset: Dataset, config: TrainConfig,
         raise ValueError(f"dims {dims} do not match {x.shape[1]} features")
     if dims[-1] < dataset.n_classes:
         raise ValueError("output layer smaller than the number of classes")
-    if validation is not None:
-        if len(validation) == 0:
-            raise ValueError("the validation set is empty")
-        if validation.n_features != dims[0]:
-            raise ValueError(f"validation has {validation.n_features} "
-                             f"features; dims {dims} take {dims[0]}")
-        if validation.labels.max() >= dims[-1]:
-            raise ValueError(f"validation label {validation.labels.max()} "
-                             f"has no output among the {dims[-1]} of dims {dims}")
     y = one_hot_targets(dataset.labels, dims[-1])
     rng = np.random.default_rng(config.seed)
     weights = _init_weights(dims, rng)
     eta = config.eta
+    loss, acc = _score(weights, x, y, dataset.labels)
     history = []
-    prev_loss, _ = loss_and_gradients(weights, x, y)
     for epoch in range(config.epochs):
-        snapshot = [w.copy() for w in weights]
+        trial = weights
         order = rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], config.batch_size):
             idx = order[start:start + config.batch_size]
-            _, grads = loss_and_gradients(weights, x[idx], y[idx])
-            for w, g in zip(weights, grads):
-                w -= eta * g
-        loss, _ = loss_and_gradients(weights, x, y)
-        peak = np.max([np.max(np.abs(w)) for w in weights])
-        if not (np.isfinite(loss) and peak <= DIVERGENCE_WEIGHT_BOUND):
+            _, grads = loss_and_gradients(trial, x[idx], y[idx])
+            trial = [w - eta * g for w, g in zip(trial, grads)]
+        trial_loss, trial_acc = _score(trial, x, y, dataset.labels)
+        peak = np.max([np.max(np.abs(w)) for w in trial])
+        if not (np.isfinite(trial_loss) and peak <= DIVERGENCE_WEIGHT_BOUND):
             raise RuntimeError(
-                f"training diverged at epoch {epoch} (loss = {loss}, "
+                f"training diverged at epoch {epoch} (loss = {trial_loss}, "
                 f"max |w| = {peak:.3g}); lower eta (currently {eta})")
-        if loss > prev_loss:
-            weights = snapshot
+        if trial_loss > loss:
             eta *= 0.5
-            loss = prev_loss
             if eta < 1e-12:
                 break
-        record = {"epoch": epoch, "loss": loss, "eta": eta,
-                  "train_accuracy": _train_accuracy(weights, x, dataset.labels)}
-        if validation is not None:
-            record["val_accuracy"] = _train_accuracy(
-                weights, validation.features, validation.labels)
-        history.append(record)
-        prev_loss = loss
+        else:
+            weights, loss, acc = trial, trial_loss, trial_acc
+        history.append({"epoch": epoch, "loss": loss, "eta": eta,
+                        "train_accuracy": acc})
     return RawNetwork(tuple(weights), tuple(history))
 
 

@@ -145,6 +145,33 @@ class TestCsv:
         with pytest.raises(DataError, match=":2: unparsable cell"):
             load_csv_dataset(path, SONAR_SCHEMA)
 
+    def test_bad_cell_after_blank_lines_names_its_file_line(self, tmp_path):
+        path = write_text(tmp_path, "sonar.csv", "0.1,0.2,R\n\n\n0.3,abc,M\n")
+        with pytest.raises(DataError, match=r"sonar.csv:4: unparsable cell"):
+            load_csv_dataset(path, SONAR_SCHEMA)
+
+    def test_bad_label_after_blank_line_names_its_file_line(self, tmp_path):
+        path = write_text(tmp_path, "wine.csv",
+                          '"fixed acidity";"quality";"alcohol"\n'
+                          "7.4;5;9.4\n"
+                          "\n"
+                          "7.8;1.5;9.8\n")
+        with pytest.raises(DataError, match=r"wine.csv:4: label '1.5' is not "
+                                            r"a whole number$"):
+            load_csv_dataset(path, WINE_SCHEMA)
+
+    def test_unparsable_label(self, tmp_path):
+        path = write_text(tmp_path, "t.csv", "0.1,0.2,1\n0.3,0.4,abc\n")
+        with pytest.raises(DataError, match=r"t.csv:2: unparsable label "
+                                            r"'abc'$"):
+            load_csv_dataset(path, CsvSchema(n_classes=2))
+
+    def test_named_label_column_needs_a_header(self, tmp_path):
+        path = write_text(tmp_path, "t.csv", "0.1,0.2,1\n")
+        with pytest.raises(DataError, match=r"^named label column requires a "
+                                            r"header row$"):
+            load_csv_dataset(path, CsvSchema(label_column="quality"))
+
     def test_row_too_short_for_named_label(self, tmp_path):
         path = write_text(tmp_path, "wine.csv",
                           '"fixed acidity";"quality";"alcohol"\n'
@@ -281,6 +308,21 @@ class TestLabels:
         with pytest.raises(DataError, match=rf"^labels must lie in \[0, 2\); "
                                             rf"{at}$"):
             Dataset(np.zeros((3, 1)), np.array(labels), n_classes=2)
+
+    def test_refuses_labels_that_are_not_numbers(self):
+        with pytest.raises(DataError, match=r"^labels must be whole numbers, "
+                                            r"got dtype <U1$"):
+            Dataset(np.zeros((2, 1)), np.array(["a", "b"]), n_classes=2)
+
+    @pytest.mark.parametrize("features, labels", [
+        (np.zeros(3), np.zeros(3, dtype=int)),
+        (np.zeros((3, 2)), np.zeros(2, dtype=int))],
+        ids=["1-D features", "label count"])
+    def test_refuses_features_without_one_label_per_row(self, features,
+                                                        labels):
+        with pytest.raises(DataError, match=r"^features must be \(D, I\) with "
+                                            r"one label per row$"):
+            Dataset(features, labels, n_classes=1)
 
     def test_whole_float_labels_become_integers(self):
         data = Dataset(np.zeros((2, 1)), np.array([1.0, 0.0]), n_classes=2)

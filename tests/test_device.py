@@ -9,6 +9,7 @@ against a high-precision one (`quad_integral` below).
 import dataclasses
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -338,6 +339,23 @@ class TestCalibration:
         with pytest.raises(ValueError, match=f"{direction.value} constant must "
                            f"{message}, got {value!r}"):
             SwitchingModel(MtjParams(), **{direction.value: value, other: 1.0})
+
+
+    @pytest.mark.parametrize("anchors", [
+        [(1e-9, 0.5, AP2P)], ((1e-9, 0.5, AP2P), [2e-9, 0.5, P2AP])],
+        ids=["list", "tuple holding a list"])
+    def test_model_refuses_anchors_that_are_not_tuples(self, anchors):
+        """A list would leave the model unhashable and its anchors open to
+        change after construction."""
+        with pytest.raises(ValueError, match=rf"^anchors must be a tuple of "
+                           rf"tuples, got {re.escape(repr(anchors))}$"):
+            SwitchingModel(MtjParams(), 1.0, 1.0, anchors)
+
+    @pytest.mark.parametrize("direction", [AP2P, P2AP])
+    def test_anchor_at_time_zero_has_no_mass(self, direction):
+        with pytest.raises(RuntimeError, match=r"^calibration failed: zero "
+                                               r"density mass at the anchor$"):
+            device._fit_constant(MtjParams(), (0.0, 0.5, direction))
 
 
 class TestParams:

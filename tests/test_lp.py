@@ -68,6 +68,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             LpProblem(c=[1.0], lower=[-np.inf], upper=[1.0])
 
+    @pytest.mark.parametrize("a_ub, b_ub", [([[np.nan]], [1.0]),
+                                            ([[1.0]], [np.inf])])
+    def test_non_finite_constraint_refused(self, a_ub, b_ub):
+        with pytest.raises(ValueError, match=r"^constraint coefficients must "
+                                             r"be finite$"):
+            LpProblem(c=[1.0], a_ub=a_ub, b_ub=b_ub, upper=[1.0])
+
+    @pytest.mark.parametrize("bounds", [dict(upper=[1.0]),
+                                        dict(lower=[0.0], upper=[1.0, 1.0])])
+    def test_bound_length_refused(self, bounds):
+        with pytest.raises(ValueError, match=r"^bound arrays must match the "
+                                             r"variable count$"):
+            LpProblem(c=[1.0, 1.0], **bounds)
+
     def test_infinite_upper_bound_refused(self):
         with pytest.raises(ValueError, match=r"upper bound 1 is inf"):
             LpProblem(c=[1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, np.inf])

@@ -7,6 +7,7 @@ import math
 import pkgutil
 import re
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -628,6 +629,15 @@ class TestPersistence:
     def test_non_finite_m_rejected(self, m_scale):
         with pytest.raises(ValueError, match=f"got {m_scale!r}"):
             LayerSpec(np.array([[0.5]]), m_scale)
+
+    def test_fraction_m_is_stored_as_a_float(self):
+        layer = LayerSpec(np.array([[0.5]]), Fraction(3, 2))
+        assert type(layer.m_scale) is float and layer.m_scale == 1.5
+
+    def test_network_needs_a_layer(self):
+        with pytest.raises(ValueError, match=r"^a network needs at least one "
+                                             r"layer$"):
+            NetworkSpec(())
 
     def test_eval_config_rejects_non_kind(self):
         with pytest.raises(TypeError, match="'normal'"):

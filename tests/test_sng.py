@@ -162,6 +162,23 @@ class TestGenerateStream:
             generate_stream(0.5, n, NORMAL, 0, cost_model)
 
 
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "1", [1, 2], (),
+                                      (1, -1), (1, True)])
+    def test_bad_seed_named(self, cost_model, seed):
+        """A seed SeedSequence would take otherwise (None as fresh entropy,
+        True as 1) is refused like the rest, by value."""
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative "
+                                             rf"integer or a tuple of them, "
+                                             rf"got {re.escape(repr(seed))}$"):
+            generate_stream(0.5, 8, NORMAL, seed, cost_model)
+
+    @pytest.mark.parametrize("seed", [3, np.uint8(3), (3, 1), (np.int64(3),)])
+    def test_seed_is_the_generator_seed(self, cost_model, seed):
+        bits, _ = generate_stream(0.3, 64, BMS, seed, cost_model)
+        expected = sng_bits(0.3, 64, np.random.default_rng(seed))
+        assert np.array_equal(bits, expected)
+
+
 class TestEnergyPerBit:
     @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
     def test_rejects_p_outside_unit_interval(self, cost_model, p):
@@ -228,6 +245,21 @@ class TestSharedPaths:
         with pytest.raises(ValueError,
                            match=f"{name} must be {reason}, got {value!r}"):
             dataclasses.replace(cost_model, **{name: value})
+
+    @pytest.mark.parametrize("name", ["reset_energy", "read_energy",
+                                      "mux_inv_energy", "bit_period_normal",
+                                      "bit_period_bms"])
+    def test_cost_model_rejects_negative(self, cost_model, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be nonnegative, "
+                                             rf"got -1e-15$"):
+            dataclasses.replace(cost_model, **{name: -1e-15})
+
+    def test_cost_model_needs_the_shorter_bms_period(self, cost_model):
+        t = cost_model.bit_period_normal
+        with pytest.raises(ValueError, match=rf"^BMS bit period {t} s must be "
+                                             rf"shorter than the normal one, "
+                                             rf"{t} s$"):
+            dataclasses.replace(cost_model, bit_period_bms=t)
 
     def test_cache_not_part_of_equality(self):
         warm, cold = build_cost_model(), build_cost_model()

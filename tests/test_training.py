@@ -1,10 +1,13 @@
 """Tests for gradient-descent training and weight scaling."""
 
+import hashlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mtjsc import training
 from mtjsc.datasets import Dataset
 from mtjsc.network import network_forward_float
 from mtjsc.training import (
@@ -102,11 +105,31 @@ class TestTrainBackprop:
         for a, b in zip(r1.weights, r2.weights):
             assert np.array_equal(a, b)
 
-    def test_validation_history(self):
-        data = blob_dataset()
-        raw = train_backprop((2, 3), data,
-                             TrainConfig(epochs=5, seed=5), validation=data)
-        assert all("val_accuracy" in rec for rec in raw.history)
+    def test_golden_run_with_dropped_epochs(self):
+        """Pins weights and history on a run whose epochs 0, 2 and 6 are
+        dropped, so a rewrite of the epoch loop keeps every bit."""
+        raw = train_backprop((2, 4, 3), blob_dataset(n=60, seed=9),
+                             TrainConfig(eta=20.0, epochs=12, batch_size=8,
+                                         seed=11))
+        digest = hashlib.sha256(b"".join(w.tobytes() for w in raw.weights))
+        assert digest.hexdigest() == ("ca6fd76a9fc941ef3d0d60c93252c56d"
+                                      "ca034ed467d0af9217e0c473b185fa2c")
+        expected = [
+            (1.308833258467729, 10.0, 0.3333333333333333),
+            (0.748375851667689, 10.0, 0.6333333333333333),
+            (0.748375851667689, 5.0, 0.6333333333333333),
+            (0.5557661766201903, 5.0, 0.6666666666666666),
+            (0.4813901471249563, 5.0, 0.6666666666666666),
+            (0.44695750575996684, 5.0, 0.6666666666666666),
+            (0.44695750575996684, 2.5, 0.6666666666666666),
+            (0.44021462978053433, 2.5, 0.6666666666666666),
+            (0.43428196127101937, 2.5, 0.6666666666666666),
+            (0.4300560538022251, 2.5, 0.6666666666666666),
+            (0.40488758989619794, 2.5, 0.6666666666666666),
+            (0.33772312071790794, 2.5, 0.8)]
+        assert raw.history == tuple(
+            {"epoch": k, "loss": loss, "eta": eta, "train_accuracy": acc}
+            for k, (loss, eta, acc) in enumerate(expected))
 
     def test_dims_must_match(self):
         with pytest.raises(ValueError):
@@ -118,34 +141,10 @@ class TestTrainBackprop:
         feats = rng.uniform(-1, 1, (len(labels), n_features))
         return Dataset(feats, np.array(labels), n_classes=n_classes)
 
-    def test_validation_features_must_match(self):
-        """Refused before training, not inside matmul after an epoch."""
-        data = self.six_feature_dataset([0, 1, 0, 1])
-        validation = self.six_feature_dataset([0, 1], n_features=5)
-        with pytest.raises(ValueError, match=r"validation has 5 features; "
-                                             r"dims \(6, 3, 2\) take 6$"):
-            train_backprop((6, 3, 2), data, TrainConfig(epochs=1),
-                           validation=validation)
-
-    def test_validation_labels_must_have_an_output(self):
-        data = self.six_feature_dataset([0, 1, 0, 1])
-        validation = self.six_feature_dataset([0, 2, 1], n_classes=3)
-        with pytest.raises(ValueError, match=r"validation label 2 has no "
-                                             r"output among the 2 of dims "
-                                             r"\(6, 3, 2\)$"):
-            train_backprop((6, 3, 2), data, TrainConfig(epochs=1),
-                           validation=validation)
-
     def test_empty_training_set_named(self):
         empty = self.six_feature_dataset([])
         with pytest.raises(ValueError, match="the training set is empty"):
             train_backprop((6, 2), empty, TrainConfig(epochs=1))
-
-    def test_empty_validation_set_named(self):
-        data = self.six_feature_dataset([0, 1, 0, 1])
-        with pytest.raises(ValueError, match="the validation set is empty"):
-            train_backprop((6, 2), data, TrainConfig(epochs=1),
-                           validation=self.six_feature_dataset([]))
 
     @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.1])
     def test_config_rejects_bad_eta(self, eta):
@@ -194,6 +193,35 @@ class TestTrainBackprop:
 
     def test_config_takes_numpy_eta(self):
         assert TrainConfig(eta=np.float32(0.1)).eta == np.float32(0.1)
+
+    def test_fraction_eta_trains_as_its_float(self):
+        cfg = TrainConfig(eta=Fraction(1, 10), epochs=3, batch_size=8, seed=4)
+        assert type(cfg.eta) is float and cfg.eta == 0.1
+        r1 = train_backprop((2, 3), blob_dataset(), cfg)
+        r2 = train_backprop((2, 3), blob_dataset(),
+                            TrainConfig(eta=0.1, epochs=3, batch_size=8, seed=4))
+        for a, b in zip(r1.weights, r2.weights):
+            assert a.dtype == float and np.array_equal(a, b)
+        assert r1.history == r2.history
+
+    def test_output_layer_must_hold_every_class(self):
+        with pytest.raises(ValueError, match=r"^output layer smaller than the "
+                                             r"number of classes$"):
+            train_backprop((2, 2), blob_dataset(), TrainConfig(epochs=1))
+
+    def test_stops_once_eta_falls_below_the_floor(self, monkeypatch):
+        """With every step uphill, each trial is dropped and eta halves from
+        1e-10 until it passes 1e-12, well before the epochs run out."""
+        def uphill(weights, x, y):
+            loss, grads = loss_and_gradients(weights, x, y)
+            return loss, [-g for g in grads]
+
+        monkeypatch.setattr(training, "loss_and_gradients", uphill)
+        raw = train_backprop((2, 3), blob_dataset(),
+                             TrainConfig(eta=1e-10, epochs=50, seed=4))
+        assert [rec["eta"] for rec in raw.history] == [
+            1e-10 / 2 ** k for k in range(1, 7)]
+        assert len({rec["loss"] for rec in raw.history}) == 1
 
     def test_divergence_detected(self):
         data = blob_dataset()
